@@ -56,6 +56,7 @@ from .walks import (
     profile_violations,
     profile_walk,
     reverse_negative_half,
+    signed_walk_cost,
     signed_walk_sum,
     translated_exit,
 )
@@ -123,8 +124,10 @@ def _graph_bound(n: int, r: int) -> int:
 
 
 def _walk_bound(n: int, r: int, d: int, kind: str) -> int:
-    blocks = comb(d + r - 1, r) if kind == "matching" else comb(d, r)
-    return 2 * blocks**n + factorial(d)
+    # both counters of the signed walk sum
+    return signed_walk_cost(n, r, d, kind, "enumerate") + signed_walk_cost(
+        n, r, d, kind, "dp"
+    )
 
 
 def _identity_report(identity, params, methods, started) -> VerificationReport:
@@ -151,7 +154,7 @@ def verify_matching_identity(
     enumeration, condition-counted tableau pairs, and the signed restricted
     walk sum with both counters."""
     started = time.perf_counter()
-    estimate = _graph_bound(n, r) + factorial(n * r) + 2 * _walk_bound(n, r, d, "matching")
+    estimate = _graph_bound(n, r) + factorial(n * r) + _walk_bound(n, r, d, "matching")
     _require(estimate, budget, "matching identity")
     methods = _run_methods(
         {
@@ -174,7 +177,7 @@ def verify_subgraph_identity(
 ) -> VerificationReport:
     """Same three-way check for the largest planar subgraph variant."""
     started = time.perf_counter()
-    estimate = _graph_bound(n, r) + factorial(n * r) + 2 * _walk_bound(n, r, d, "subgraph")
+    estimate = _graph_bound(n, r) + factorial(n * r) + _walk_bound(n, r, d, "subgraph")
     _require(estimate, budget, "subgraph identity")
     methods = _run_methods(
         {
@@ -299,7 +302,9 @@ def audit_involution(
     started = time.perf_counter()
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    _require(_walk_bound(n, r, d, "matching") ** 2, budget, "involution audit")
+    # the audit still enumerates walks per Toeplitz endpoint, all d! of them
+    half_walks = signed_walk_cost(n, r, d, "matching", "enumerate")
+    _require((2 * half_walks + factorial(d)) ** 2, budget, "involution audit")
 
     domain: dict[Walk, int] = {}
     for w, sign in _restricted_walk_family(n, r, d):

@@ -9,6 +9,21 @@ For walks of length 2rn the positive positions are grouped into n blocks of
 r consecutive positions (and likewise the negative positions); a "matching"
 walk has weakly decreasing values inside every block, a "subgraph" walk
 strictly increasing ones.
+
+The signed walk sum over Toeplitz endpoints is evaluated as a sum of
+squares, with no loop over the d! endpoints.  With delta = (0, 1, ..., d-1),
+a half-walk with direction histogram h has shape sort(h + delta) when
+h + delta has distinct entries, and sign the sign of the permutation that
+sorts it.  If c(y) is the signed number of half-walks of shape y, then
+
+    sum over pi of sgn(pi) * #{(h, h'): h - h' = T(pi)} = sum over y of c(y)^2,
+
+the same sum-of-squares form as the tableau side's count of equal-shape
+tableau pairs.  This is Gessel and Zeilberger's reflection argument
+("Random walk in a Weyl chamber", Proc. AMS 1992).  It needs the number of
+half-walks with histogram h to be symmetric in the d directions, which holds
+because the block count-vectors of both kinds are closed under permuting
+directions.
 """
 
 from __future__ import annotations
@@ -16,16 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, factorial
+from math import comb
 from typing import Iterator, NamedTuple
 
 from .graphs import planar_matching_profile
 from .perms import check_permutation, perm_sign
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -314,72 +324,71 @@ def _half_profiles_enumerate(n: int, r: int, d: int, kind: str) -> dict:
     return profiles
 
 
-@lru_cache(maxsize=None)
-def _half_profiles_dp(n: int, r: int, d: int, kind: str) -> dict:
-    """Same distribution computed without materializing sequences: convolve
-    the block count-vectors n times over the displacement state space."""
+def _sort_with_sign(values) -> tuple[tuple[int, ...], int] | None:
+    """values sorted increasingly, with the sign of the sorting permutation;
+    None when two entries are equal.  Insertion sort, so nearly sorted
+    input costs about one comparison per entry."""
+    out = list(values)
+    sign = 1
+    for i in range(1, len(out)):
+        v = out[i]
+        j = i
+        while j and out[j - 1] > v:
+            out[j] = out[j - 1]
+            j -= 1
+            sign = -sign
+        if j and out[j - 1] == v:
+            return None
+        out[j] = v
+    return tuple(out), sign
+
+
+def _fold_into_shapes(profiles: dict, d: int) -> dict:
+    """Histogram -> half-walk count, folded into shape -> signed count."""
+    delta = range(d)
+    shapes: dict[tuple[int, ...], int] = {}
+    for hist, ways in profiles.items():
+        sorted_sign = _sort_with_sign([h + k for h, k in zip(hist, delta)])
+        if sorted_sign is not None:
+            shape, sign = sorted_sign
+            shapes[shape] = shapes.get(shape, 0) + sign * ways
+    return shapes
+
+
+def _shape_counts_dp(n: int, r: int, d: int, kind: str) -> dict:
+    """Shape -> signed half-walk count, by adding one block at a time to
+    sorted states: start from delta, add a block's count-vector, sort with
+    sign, and drop states with a repeated entry (their terms cancel)."""
     increments = [counts for _, counts in _block_choices(d, r, kind)]
-    dist: dict[tuple[int, ...], int] = {(0,) * d: 1}
+    shapes: dict[tuple[int, ...], int] = {tuple(range(d)): 1}
     for _ in range(n):
         nxt: dict[tuple[int, ...], int] = {}
-        for hist, ways in dist.items():
+        for shape, ways in shapes.items():
             for inc in increments:
-                key = tuple(a + b for a, b in zip(hist, inc))
-                nxt[key] = nxt.get(key, 0) + ways
-        dist = nxt
-    return dist
+                sorted_sign = _sort_with_sign([a + b for a, b in zip(shape, inc)])
+                if sorted_sign is not None:
+                    key, sign = sorted_sign
+                    nxt[key] = nxt.get(key, 0) + sign * ways
+        shapes = {key: ways for key, ways in nxt.items() if ways}
+    return shapes
 
 
-def _signed_toeplitz_join(profiles: dict, d: int, m: int) -> int:
-    """Sum over permutations pi of [d] of sgn(pi) times the number of
-    (positive half, negative half) pairs whose displacements differ by the
-    Toeplitz point of pi.  Both halves share the same profile distribution."""
-    if not profiles:
-        return 0
-    points = [
-        (point, sign)
-        for _, point, sign in iter_toeplitz(d, max_l1=2 * m)
-        if all(-m <= x <= m for x in point)
-    ]
-    if _np is not None and d > 0 and len(profiles) > 1:
-        max_count = max(profiles.values())
-        if max_count * max_count * len(profiles) < 2**62:
-            return _signed_join_numpy(profiles, points, d, m)
-    total = 0
-    for point, sign in points:
-        part = 0
-        for hist, ways in profiles.items():
-            other = tuple(h - t for h, t in zip(hist, point))
-            if all(x >= 0 for x in other):
-                w2 = profiles.get(other)
-                if w2:
-                    part += ways * w2
-        total += sign * part
-    return total
-
-
-def _signed_join_numpy(profiles: dict, points: list, d: int, m: int) -> int:
-    """int64 fast path; caller has proven no intermediate can overflow."""
-    hists = _np.array(list(profiles.keys()), dtype=_np.int64)
-    counts = _np.array(list(profiles.values()), dtype=_np.int64)
-    base = _np.array([(m + 1) ** j for j in range(d)], dtype=_np.int64)
-    keys = hists @ base
-    order = _np.argsort(keys)
-    sorted_keys = keys[order]
-    sorted_counts = counts[order]
-    total = 0
-    for point, sign in points:
-        shifted = hists - _np.array(point, dtype=_np.int64)
-        valid = ((shifted >= 0) & (shifted <= m)).all(axis=1)
-        if not valid.any():
-            continue
-        cand = shifted[valid] @ base
-        idx = _np.searchsorted(sorted_keys, cand)
-        idx[idx >= len(sorted_keys)] = 0
-        found = sorted_keys[idx] == cand
-        part = int((counts[valid][found] * sorted_counts[idx[found]]).sum())
-        total += sign * part
-    return total
+def signed_walk_cost(n: int, r: int, d: int, kind: str, counter: str) -> int:
+    """Upper bound on the work of `signed_walk_sum` with this counter:
+    blocks**n half-walks for "enumerate"; for "dp", n steps that each add
+    every block to every shape, where a step starts from at most
+    min(blocks**k, C(rn+d, d)) shapes after k earlier steps."""
+    if kind == "matching":
+        blocks = comb(d + r - 1, r)
+    elif kind == "subgraph":
+        blocks = comb(d, r)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if counter == "enumerate":
+        return blocks**n
+    if counter == "dp":
+        return n * blocks * min(blocks ** (n - 1), comb(n * r + d, d)) if n else 0
+    raise ValueError(f"unknown counter {counter!r}")
 
 
 def signed_walk_sum(
@@ -393,24 +402,22 @@ def signed_walk_sum(
     """Signed count of restricted representative walks over all Toeplitz
     endpoints: sum over pi of sgn(pi) |{walks of length 2rn to T(pi)}|.
 
-    counter "enumerate" explicitly enumerates every half-walk and buckets it
-    by displacement; counter "dp" computes the same distribution by dynamic
-    programming over (block index, displacement).  Both then pair the two
-    halves at each feasible Toeplitz endpoint.
+    Evaluated as the sum of c(y)^2 over shapes y (see the module docstring),
+    which holds because both kinds of block are symmetric in the d
+    directions.  Counter "enumerate" explicitly enumerates every half-walk
+    and folds its displacement histogram into shapes; counter "dp" adds one
+    block at a time to signed shape counts and never forms a histogram.
     """
     if n < 0 or r < 1 or d < 0:
         raise ValueError("need n >= 0, r >= 1, d >= 0")
-    if budget is not None:
-        block_count = comb(d + r - 1, r) if kind == "matching" else comb(d, r)
-        if block_count**n + factorial(d) > budget:
-            raise BudgetExceeded("signed walk sum would exceed the node budget")
+    cost = signed_walk_cost(n, r, d, kind, counter)
+    if budget is not None and cost > budget:
+        raise BudgetExceeded("signed walk sum would exceed the node budget")
     if counter == "enumerate":
-        profiles = _half_profiles_enumerate(n, r, d, kind)
-    elif counter == "dp":
-        profiles = _half_profiles_dp(n, r, d, kind)
+        shapes = _fold_into_shapes(_half_profiles_enumerate(n, r, d, kind), d)
     else:
-        raise ValueError(f"unknown counter {counter!r}")
-    return _signed_toeplitz_join(profiles, d, n * r)
+        shapes = _shape_counts_dp(n, r, d, kind)
+    return sum(c * c for c in shapes.values())
 
 
 def count_all_walks_signed(m: int, d: int) -> int:

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import planarcount
 from planarcount.cli import main
 
 WORKED_GRAPH_TEXT = "0,1,1;2,0,0;0,1,1"
@@ -66,6 +71,25 @@ def test_count_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,r,d,method,subgraph,count"
     assert lines[1] == "1,2,2,brute,false,1"
+
+
+def test_count_walks_dp_default_budget(capsys):
+    # the shape DP charges its own work, so this fits the default budget
+    code, out, _ = run(
+        capsys, "count", "--n", "12", "--r", "2", "--d", "3", "--method", "walks-dp"
+    )
+    assert code == 0
+    assert out.strip() == "13046831372394"
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(planarcount.__file__).parents[1]))
+    probe = "import sys, planarcount.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_usage_errors_exit_2(capsys):

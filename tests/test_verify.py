@@ -71,6 +71,8 @@ def test_budget_refusals():
     with pytest.raises(BudgetExceeded):
         audit_involution(2, 2, 2, "second", budget=3)
     with pytest.raises(BudgetExceeded):
+        audit_involution(1, 1, 12, "second")
+    with pytest.raises(BudgetExceeded):
         audit_bijections(2, 2, 2, budget=3)
 
 

@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import pytest
 from planarcount.graphs import (
@@ -10,6 +11,8 @@ from planarcount.perms import iter_permutations, perm_sign
 from planarcount.walks import (
     BudgetExceeded,
     Walk,
+    _half_profiles_enumerate,
+    _sort_with_sign,
     count_all_walks_signed,
     crossing_pairing,
     endpoint,
@@ -27,6 +30,7 @@ from planarcount.walks import (
     profile_violations,
     profile_walk,
     reverse_negative_half,
+    signed_walk_cost,
     signed_walk_sum,
     stays_in_dominance_region,
     toeplitz_point,
@@ -178,26 +182,91 @@ def test_signed_sum_budget_refusal():
         signed_walk_sum(8, 1, 8, "matching", "enumerate", budget=10)
 
 
-def test_join_fast_path_matches_fallback(monkeypatch):
-    import planarcount.walks as walks_mod
+def toeplitz_join(profiles, d, m):
+    """Reference: for every permutation pi of [d], pair the two halves whose
+    histograms differ by T(pi), and weight the pairs by sgn(pi)."""
+    # at_least[j][t]: the histograms with coordinate j >= t; a positive half
+    # h can pair at T only if h >= T, so scanning the largest coordinate's
+    # list skips most histograms without changing the sum.  T sums to 0 and
+    # has l1 <= 2m, so its largest coordinate lies in [0, m]: in range below
+    at_least = [
+        [[h for h in profiles if h[j] >= t] for t in range(m + 1)] for j in range(d)
+    ]
+    total = 0
+    for _, point, sign in iter_toeplitz(d, max_l1=2 * m):
+        j = max(range(d), key=point.__getitem__, default=None)
+        for hist in profiles if j is None else at_least[j][point[j]]:
+            other = tuple(h - t for h, t in zip(hist, point))
+            if all(x >= 0 for x in other):
+                total += sign * profiles[hist] * profiles.get(other, 0)
+    return total
 
-    cases = [(4, 1, 4), (2, 2, 4), (5, 1, 3), (3, 2, 3)]
-    with_numpy = [
-        walks_mod.signed_walk_sum(n, r, d, "matching", "dp") for n, r, d in cases
-    ]
-    monkeypatch.setattr(walks_mod, "_np", None)
-    walks_mod._half_profiles_dp.cache_clear()
-    without_numpy = [
-        walks_mod.signed_walk_sum(n, r, d, "matching", "dp") for n, r, d in cases
-    ]
-    assert with_numpy == without_numpy
+
+# rn <= 6: at rn = 7 and d >= 8 the reference join alone takes minutes
+JOIN_GRID = [
+    (n, r, d, kind)
+    for r in range(1, 5)
+    for n in range(0, 6 // r + 1)
+    for d in range(0, r * n + 3)
+    for kind in ("matching", "subgraph")
+]
+
+
+@pytest.mark.parametrize("n,r,d,kind", JOIN_GRID)
+def test_counters_match_reference_toeplitz_join(n, r, d, kind):
+    expected = toeplitz_join(_half_profiles_enumerate(n, r, d, kind), d, n * r)
+    assert signed_walk_sum(n, r, d, kind, "enumerate") == expected
+    assert signed_walk_sum(n, r, d, kind, "dp") == expected
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_sort_with_sign(d):
+    for perm in iter_permutations(d):
+        assert _sort_with_sign(perm) == (tuple(range(1, d + 1)), perm_sign(perm))
+    for values in product(range(d), repeat=d):
+        if len(set(values)) < d:
+            assert _sort_with_sign(values) is None
+
+
+# Each was computed by the half-walk profile DP and the per-pi Toeplitz join
+# before the shape DP replaced both; all but (12, 2, 3) are also pinned by
+# the count-large benchmark workload.
+PINNED_COUNTS = {
+    (8, 1, 8, "matching"): 40320,
+    (4, 2, 8, "matching"): 282,
+    (5, 3, 6, "matching"): 153040,
+    (9, 1, 7, "matching"): 362815,
+    (6, 2, 6, "subgraph"): 147168,
+    (20, 2, 4, "matching"): 459546848972770902853115363292,
+    (12, 3, 4, "matching"): 515122130640069851424,
+    (24, 2, 4, "subgraph"): 18916437670848472111903330956,
+    (8, 4, 4, "matching"): 131412032096731,
+    (30, 2, 3, "matching"): 3932865977000307256438328837465662392981,
+    (20, 3, 3, "matching"): 385596508403630628015473409641524,
+    (12, 2, 3, "matching"): 13046831372394,
+}
+
+
+@pytest.mark.parametrize("n,r,d,kind", sorted(PINNED_COUNTS))
+def test_pinned_large_counts(n, r, d, kind):
+    assert signed_walk_sum(n, r, d, kind, "dp") == PINNED_COUNTS[(n, r, d, kind)]
+
+
+def test_signed_walk_cost():
+    assert signed_walk_cost(8, 1, 8, "matching", "enumerate") == 8**8
+    assert signed_walk_cost(12, 2, 3, "matching", "dp") == 12 * 6 * comb(27, 3)
+    assert signed_walk_cost(1, 8, 8, "matching", "dp") == comb(15, 8)
+    assert signed_walk_cost(0, 2, 3, "subgraph", "dp") == 0
+    assert signed_walk_cost(3, 2, 1, "subgraph", "dp") == 0
+    with pytest.raises(ValueError):
+        signed_walk_cost(2, 2, 2, "matching", "join")
 
 
 @pytest.mark.parametrize("n,r,d", [(2, 1, 2), (3, 1, 3), (1, 2, 2), (2, 2, 3), (4, 1, 4), (5, 1, 3)])
 def test_dp_counts_match_enumerator_per_endpoint(n, r, d):
-    from planarcount.walks import _half_profiles_dp
-
-    profiles = _half_profiles_dp(n, r, d, "matching")
+    # the half-walk histograms, joined at one endpoint, count that endpoint's
+    # restricted walks
+    profiles = _half_profiles_enumerate(n, r, d, "matching")
     for pi, point, _ in iter_toeplitz(d, 2 * n * r):
         expected = sum(1 for _ in iter_restricted_walks(n, r, d, pi, "matching"))
         joined = 0
