@@ -306,6 +306,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise ValueError("count must be >= 0")
     samples = []
     for i in range(args.count):
         perm = sample_configuration(args.n, args.r, args.seed + i)

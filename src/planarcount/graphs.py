@@ -28,8 +28,8 @@ class Multigraph:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.r < 1:
-            raise ValueError("need n >= 1 and r >= 1")
+        if self.n < 0 or self.r < 1:
+            raise ValueError("need n >= 0 and r >= 1")
         if len(self.rows) != self.n or any(len(row) != self.n for row in self.rows):
             raise ValueError("multiplicity matrix must be n x n")
         if any(x < 0 for row in self.rows for x in row):
@@ -70,10 +70,11 @@ def enumerate_multigraphs(n: int, r: int) -> Iterator[Multigraph]:
 
     Rows are filled one cell at a time, each cell taking its largest feasible
     value first, with the remaining column sums pruning dead branches.  The
-    stream is therefore ordered by descending flattened matrix.
+    stream is therefore ordered by descending flattened matrix.  For n = 0
+    the one multigraph is the empty one.
     """
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    if n < 0 or r < 1:
+        raise ValueError("need n >= 0 and r >= 1")
     col_rem = [r] * n
     done: list[tuple[int, ...]] = []
 
@@ -216,16 +217,21 @@ def count_bounded_subgraph(n: int, r: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _lis_histogram(m: int) -> tuple[int, ...]:
+    """Number of permutations of [m] by longest increasing subsequence
+    length 0..m, by exhaustive enumeration."""
+    counts = [0] * (m + 1)
+    for perm in permutations(range(1, m + 1)):
+        counts[planar_matching_profile(perm).largest] += 1
+    return tuple(counts)
+
+
 def count_bounded_lis(m: int, d: int) -> int:
     """Number of permutations of [m] with no increasing subsequence longer
     than d, by exhaustive enumeration.  Oracle for everything else."""
     if m < 0 or d < 0:
         raise ValueError("need m >= 0 and d >= 0")
-    count = 0
-    for perm in permutations(range(1, m + 1)):
-        if planar_matching_profile(perm).largest <= d:
-            count += 1
-    return count
+    return sum(_lis_histogram(m)[: d + 1])
 
 
 def sample_configuration(n: int, r: int, seed: int) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 
 @dataclass(frozen=True)
@@ -110,21 +110,60 @@ def bessel_series(nu: int, truncation: int) -> RationalSeries:
     return RationalSeries.from_dict(coeffs, truncation)
 
 
+def determinant_cost(size: int, truncation: int) -> int:
+    """Upper bound on the work of `series_determinant` on a size x size
+    matrix truncated at degree `truncation`: size * 2**(size-1) series
+    products, each at most (truncation+1)**2 coefficient products."""
+    return size * 2 ** (size - 1) * (truncation + 1) ** 2
+
+
 def series_determinant(matrix: list[list[RationalSeries]]) -> RationalSeries:
-    """Determinant by cofactor expansion along the first row; division-free,
-    fine for the tiny matrices used here."""
+    """Determinant by Laplace expansion with memoised minors.
+
+    Each row is first scaled by the least common multiple of its
+    denominators, so every minor has integer coefficients; the determinant
+    of the scaled matrix is divided by the product of those integers once,
+    at the end.  Going up from the bottom row, `minors` maps each column
+    subset S (a bitmask with size - k columns) to the determinant of rows
+    k..size-1 restricted to the columns in S.  Row k-1 extends each S by one
+    column j outside it, with sign (-1)^(number of columns in S below j).
+    That is size * 2**(size-1) series products in all, against size! for the
+    plain cofactor recursion.  No series is ever divided, so the result is
+    exact for any entries, including ones with a zero constant term, and
+    keeps every coefficient up to the smallest truncation degree.
+    """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
     if size == 0:
         raise ValueError("empty matrix")
-    if size == 1:
-        return matrix[0][0]
-    total = None
-    for j in range(size):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * series_determinant(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    truncation = min(entry.truncation for row in matrix for entry in row)
+    scale = 1
+    rows = []
+    for row in matrix:
+        factor = lcm(*(c.denominator for entry in row for _, c in entry.coefficients))
+        scale *= factor
+        rows.append(
+            [{deg: int(c * factor) for deg, c in entry.coefficients} for entry in row]
+        )
+    minors = {1 << j: entry for j, entry in enumerate(rows[-1])}
+    for row in reversed(rows[:-1]):
+        extended: dict[int, dict[int, int]] = {}
+        for columns, minor in minors.items():
+            below = 0
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if columns & bit:
+                    below += 1
+                    continue
+                sign = -1 if below % 2 else 1
+                out = extended.setdefault(columns | bit, {})
+                for d1, c1 in entry.items():
+                    for d2, c2 in minor.items():
+                        if d1 + d2 <= truncation:
+                            out[d1 + d2] = out.get(d1 + d2, 0) + sign * c1 * c2
+        minors = extended
+    det = minors[(1 << size) - 1]
+    return RationalSeries.from_dict(
+        {deg: Fraction(c, scale) for deg, c in det.items()}, truncation
+    )

@@ -29,7 +29,7 @@ from .graphs import (
     enumerate_multigraphs,
     planar_matching_profile,
 )
-from .series import bessel_series, series_determinant
+from .series import bessel_series, determinant_cost, series_determinant
 from .tableaux import (
     blocks_strictly_below,
     count_tableau_pairs,
@@ -119,7 +119,10 @@ def _run_methods(tasks: dict[str, Callable[[], object]], threads: int) -> dict:
 
 
 def _graph_bound(n: int, r: int) -> int:
-    # row-by-row fill explores at most this many nodes (no column pruning)
+    # row-by-row fill explores at most this many nodes (no column pruning);
+    # n = 0 has the one empty multigraph
+    if n <= 0:
+        return 1
     return comb(n + r - 1, n - 1) ** n * n
 
 
@@ -200,7 +203,9 @@ def verify_walk_scaling(
     points equals C(2m, m) times both the representative signed sum and the
     number of permutations with bounded increasing subsequences."""
     started = time.perf_counter()
-    estimate = (2 * m + 1) ** d * 4 * m * d + factorial(d) + factorial(m) + d**m
+    if m < 0 or d < 0:
+        raise ValueError("need m >= 0 and d >= 0")
+    estimate = (2 * m + 1) ** d * 4 * m * d + factorial(m) + d**m
     _require(estimate, budget, "walk scaling")
     scale = comb(2 * m, m)
     methods = _run_methods(
@@ -227,7 +232,8 @@ def verify_gessel_identity(
     if truncation < 0 or truncation % 2:
         raise ValueError("truncation degree must be even and >= 0")
     _require(
-        factorial(d) * truncation**2 + factorial(truncation // 2) * (truncation // 2),
+        determinant_cost(d, truncation)
+        + factorial(truncation // 2) * (truncation // 2),
         budget,
         "gessel identity",
     )

@@ -423,7 +423,13 @@ def signed_walk_sum(
 def count_all_walks_signed(m: int, d: int) -> int:
     """Signed count over *all* walks of length 2m (every interleaving of
     positive and negative steps) ending at Toeplitz points, by a dynamic
-    program over (steps taken, current point)."""
+    program over (steps taken, current point).
+
+    The step set is symmetric, so the number of walks to p equals the number
+    to -p, and -T(pi) + delta is pi - 1 in one-line notation.  The final
+    distribution is therefore folded like a half-walk histogram: a point p
+    counts, with the sign of the sort, exactly when sorting p + delta gives
+    delta, and the d! Toeplitz points are never listed."""
     if m < 0 or d < 0:
         raise ValueError("need m >= 0 and d >= 0")
     dist: dict[tuple[int, ...], int] = {(0,) * d: 1}
@@ -435,9 +441,7 @@ def count_all_walks_signed(m: int, d: int) -> int:
                     key = point[:j] + (point[j] + delta,) + point[j + 1 :]
                     nxt[key] = nxt.get(key, 0) + ways
         dist = nxt
-    return sum(
-        sign * dist.get(point, 0) for _, point, sign in iter_toeplitz(d, 2 * m)
-    )
+    return _fold_into_shapes(dist, d).get(tuple(range(d)), 0)
 
 
 # ------------------------------------------------- configuration <-> walks

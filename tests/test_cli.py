@@ -297,6 +297,35 @@ def test_sample_determinism(capsys):
     assert payload["samples"][0]["configuration"] == "1"
 
 
+def test_count_zero_vertices_every_method(capsys):
+    # the empty multigraph is the one graph with n = 0
+    for method in ("brute", "tableaux", "walks-enum", "walks-dp"):
+        code, out, _ = run(
+            capsys, "count", "--n", "0", "--r", "2", "--d", "1", "--method", method
+        )
+        assert (code, out.strip()) == (0, "1"), method
+
+
+def test_verify_mot_rejects_negative_parameters(capsys):
+    for m, d in (("-1", "2"), ("2", "-1")):
+        code, _, err = run(capsys, "verify", "mot", "--m", m, "--d", d)
+        assert code == 2
+        assert "need m >= 0 and d >= 0" in err
+
+
+def test_sample_rejects_negative_count(capsys):
+    code, out, err = run(
+        capsys, "sample", "--n", "2", "--r", "2", "--count", "-5", "--seed", "1"
+    )
+    assert code == 2 and out == "" and "error" in err
+
+
+def test_verify_gessel_d10_at_default_budget(capsys):
+    code, out, _ = run(capsys, "verify", "gessel", "--d", "10", "--M", "14")
+    assert code == 0
+    assert out.startswith("PASS")
+
+
 def test_json_output_is_stable(capsys):
     _, out1, _ = run(
         capsys, "verify", "theorem1", "--n", "2", "--r", "2", "--d", "2",

@@ -97,6 +97,15 @@ def test_enumeration_matches_raw_exhaustion(n, r):
     )
 
 
+def test_zero_vertices_is_the_empty_multigraph():
+    for r in (1, 2):
+        assert list(enumerate_multigraphs(0, r)) == [Multigraph(n=0, r=r, rows=())]
+        assert count_bounded_matching(0, r, 0) == 1
+        assert count_bounded_subgraph(0, r, 0) == 1
+    with pytest.raises(ValueError):
+        list(enumerate_multigraphs(-1, 2))
+
+
 def test_invalid_matrix_rejected():
     with pytest.raises(ValueError):
         Multigraph(n=2, r=2, rows=((2, 0), (1, 1)))
@@ -258,6 +267,14 @@ def test_lis_count_values():
     for m in range(1, 7):
         assert count_bounded_lis(m, 1) == 1
     assert count_bounded_lis(0, 0) == 1
+
+
+def test_lis_counts_at_most_two_are_catalan():
+    for m in range(8):
+        assert count_bounded_lis(m, 2) == math.comb(2 * m, m) // (m + 1)
+    for m, d in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            count_bounded_lis(m, d)
 
 
 # ---------------------------------------------------------------- sampling

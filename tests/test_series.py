@@ -1,10 +1,19 @@
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planarcount.graphs import count_bounded_lis
-from planarcount.series import RationalSeries, bessel_series, series_determinant
+from planarcount.perms import perm_sign
+from planarcount.series import (
+    RationalSeries,
+    bessel_series,
+    determinant_cost,
+    series_determinant,
+)
 
 F = Fraction
 
@@ -74,3 +83,56 @@ def test_determinant_alternating_signs():
     assert det.as_dict() == {1: F(-1)}
     with pytest.raises(ValueError):
         series_determinant([[one, one]])
+
+
+def leibniz_determinant(matrix):
+    """Reference: sum over permutations of sign times the diagonal product."""
+    size = len(matrix)
+    total = RationalSeries.zero(matrix[0][0].truncation)
+    for perm in permutations(range(1, size + 1)):
+        term = RationalSeries.one(total.truncation)
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j - 1]
+        total = total + (term if perm_sign(perm) == 1 else -term)
+    return total
+
+
+# small coefficients and many zeros: entries with a zero constant term, and
+# zero entries, are common
+COEFFICIENT = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def series_entries(draw, truncation):
+    coeffs = draw(st.lists(COEFFICIENT, min_size=truncation + 1, max_size=truncation + 1))
+    return RationalSeries.from_dict(dict(enumerate(coeffs)), truncation)
+
+
+@st.composite
+def series_matrices(draw, sizes=st.integers(1, 5)):
+    # entries may differ in truncation; the determinant keeps the smallest
+    size = draw(sizes)
+    low = draw(st.integers(0, 4))
+    entry = st.integers(low, low + 2).flatmap(series_entries)
+    return [[draw(entry) for _ in range(size)] for _ in range(size)]
+
+
+@given(series_matrices())
+@settings(max_examples=80, deadline=None)
+def test_determinant_matches_leibniz(matrix):
+    assert series_determinant(matrix) == leibniz_determinant(matrix)
+
+
+@given(series_matrices(st.integers(2, 5)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_row_swap_negates_determinant(matrix, data):
+    rows = st.integers(0, len(matrix) - 1)
+    i, j = data.draw(st.lists(rows, min_size=2, max_size=2, unique=True))
+    swapped = list(matrix)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    assert series_determinant(swapped) == -series_determinant(matrix)
+
+
+def test_determinant_cost():
+    assert determinant_cost(1, 0) == 1
+    assert determinant_cost(8, 14) == 8 * 2**7 * 15**2

@@ -61,6 +61,11 @@ def test_gessel_identity_small():
         verify_gessel_identity(0, 4)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gessel_identity_to_degree_14(d):
+    assert verify_gessel_identity(d, 14).passed
+
+
 def test_budget_refusals():
     with pytest.raises(BudgetExceeded):
         verify_matching_identity(2, 2, 2, budget=3)

@@ -285,6 +285,29 @@ def test_all_walks_signed_small():
     assert count_all_walks_signed(0, 2) == 1
 
 
+def all_walks_toeplitz_join(m, d):
+    """Reference: the distribution of all walks of length 2m, read at each
+    Toeplitz point T(pi) and weighted by sgn(pi)."""
+    dist = {(0,) * d: 1}
+    for _ in range(2 * m):
+        nxt = {}
+        for point, ways in dist.items():
+            for j in range(d):
+                for step in (1, -1):
+                    key = point[:j] + (point[j] + step,) + point[j + 1 :]
+                    nxt[key] = nxt.get(key, 0) + ways
+        dist = nxt
+    return sum(sign * dist.get(point, 0) for _, point, sign in iter_toeplitz(d))
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_all_walks_signed_matches_reference_join(m):
+    for d in range(7):
+        expected = all_walks_toeplitz_join(m, d)
+        assert count_all_walks_signed(m, d) == expected
+        assert expected == comb(2 * m, m) * count_bounded_lis(m, d)
+
+
 # ------------------------------------------------------------ profile walks
 
 
