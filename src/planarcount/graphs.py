@@ -190,30 +190,28 @@ def largest_planar_subgraph_size(g: Multigraph) -> int:
 
 
 @lru_cache(maxsize=None)
-def _matching_sizes(n: int, r: int) -> tuple[int, ...]:
+def _planar_sizes(n: int, r: int) -> tuple[tuple[int, int], ...]:
+    """(largest planar matching, largest planar subgraph) of every
+    multigraph of `enumerate_multigraphs(n, r)`, in one enumeration."""
     return tuple(
-        planar_matching_profile(canonical_lift(g)).largest
+        (planar_matching_profile(canonical_lift(g)).largest,
+         largest_planar_subgraph_size(g))
         for g in enumerate_multigraphs(n, r)
     )
-
-
-@lru_cache(maxsize=None)
-def _subgraph_sizes(n: int, r: int) -> tuple[int, ...]:
-    return tuple(largest_planar_subgraph_size(g) for g in enumerate_multigraphs(n, r))
 
 
 def count_bounded_matching(n: int, r: int, d: int) -> int:
     """Number of r-regular multigraphs whose largest planar matching is <= d."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    return sum(1 for size in _matching_sizes(n, r) if size <= d)
+    return sum(1 for size, _ in _planar_sizes(n, r) if size <= d)
 
 
 def count_bounded_subgraph(n: int, r: int, d: int) -> int:
     """Number of r-regular multigraphs whose largest planar subgraph is <= d."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    return sum(1 for size in _subgraph_sizes(n, r) if size <= d)
+    return sum(1 for _, size in _planar_sizes(n, r) if size <= d)
 
 
 @lru_cache(maxsize=None)

@@ -249,6 +249,8 @@ def count_tableau_pairs(n: int, r: int, d: int, kind: str = "matching") -> int:
     The two members of a pair are constrained independently given the shape,
     so the total is the sum over shapes of the squared per-shape count.
     """
+    if n < 0 or r < 1 or d < 0:
+        raise ValueError("need n >= 0, r >= 1, d >= 0")
     return sum(c * c for c in _condition_counts_by_shape(n, r, d, kind).values())
 
 

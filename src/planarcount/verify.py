@@ -42,6 +42,7 @@ from .tableaux import (
 from .walks import (
     BudgetExceeded,
     Walk,
+    all_walks_cost,
     count_all_walks_signed,
     crossing_pairing,
     endpoint,
@@ -110,6 +111,11 @@ def _require(estimate: int, budget: int | None, what: str) -> None:
         )
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError("need threads >= 1")
+
+
 def _run_methods(tasks: dict[str, Callable[[], object]], threads: int) -> dict:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -156,6 +162,7 @@ def verify_matching_identity(
     """Count graphs with largest planar matching <= d four ways: direct
     enumeration, condition-counted tableau pairs, and the signed restricted
     walk sum with both counters."""
+    _check_threads(threads)
     started = time.perf_counter()
     estimate = _graph_bound(n, r) + factorial(n * r) + _walk_bound(n, r, d, "matching")
     _require(estimate, budget, "matching identity")
@@ -179,6 +186,7 @@ def verify_subgraph_identity(
     n: int, r: int, d: int, budget: int | None = DEFAULT_BUDGET, threads: int = 1
 ) -> VerificationReport:
     """Same three-way check for the largest planar subgraph variant."""
+    _check_threads(threads)
     started = time.perf_counter()
     estimate = _graph_bound(n, r) + factorial(n * r) + _walk_bound(n, r, d, "subgraph")
     _require(estimate, budget, "subgraph identity")
@@ -202,10 +210,11 @@ def verify_walk_scaling(
     """The signed count over all (interleaved) walks of length 2m to Toeplitz
     points equals C(2m, m) times both the representative signed sum and the
     number of permutations with bounded increasing subsequences."""
+    _check_threads(threads)
     started = time.perf_counter()
     if m < 0 or d < 0:
         raise ValueError("need m >= 0 and d >= 0")
-    estimate = (2 * m + 1) ** d * 4 * m * d + factorial(m) + d**m
+    estimate = all_walks_cost(m, d) + factorial(m) + d**m
     _require(estimate, budget, "walk scaling")
     scale = comb(2 * m, m)
     methods = _run_methods(

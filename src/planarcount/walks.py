@@ -28,6 +28,7 @@ directions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
@@ -306,21 +307,52 @@ def _spend(state: list, amount: int, what: str) -> None:
 
 
 @lru_cache(maxsize=None)
+def _half_walk_tally(n: int, codes: tuple[int, ...]) -> Counter:
+    """Packed histogram -> number of sequences of n block codes with that
+    sum, by visiting every sequence: a search over the first n - 2 blocks,
+    whose leaves each add every sum of the last two blocks to the prefix."""
+    tally: Counter = Counter()
+    if n < 2:
+        tally.update([0] if n == 0 else codes)
+        return tally
+    last_two = [a + b for a in codes for b in codes]
+
+    def rec(i: int, prefix: int):
+        if i == n - 2:
+            tally.update(map(prefix.__add__, last_two))
+            return
+        for code in codes:
+            rec(i + 1, prefix + code)
+
+    rec(0, 0)
+    return tally
+
+
 def _half_profiles_enumerate(n: int, r: int, d: int, kind: str) -> dict:
     """Displacement histogram -> number of half-walks, by explicitly walking
-    every block sequence (each leaf of the search tree is one half-walk)."""
-    blocks = _block_choices(d, r, kind)
+    every block sequence.
+
+    A histogram is packed into one int, coordinate j as the digit of
+    base**j with base = rn + 1.  Every coordinate of a half-walk's histogram
+    is at most rn, so no digit carries, and adding the codes of two
+    count-vectors is adding the count-vectors.  The search over block
+    sequences therefore runs on ints; its last two levels are one C-level
+    `Counter.update` over the prefix plus each pair of final blocks.  Each
+    half-walk is still produced once, as one addition and one count, so the
+    tally's total is blocks**n.  The tally is cached by (n, block codes), so
+    kinds whose blocks coincide (r = 1) share one enumeration."""
+    base = n * r + 1
+    codes = tuple(
+        sum(c * base**j for j, c in enumerate(counts))
+        for _, counts in _block_choices(d, r, kind)
+    )
     profiles: dict[tuple[int, ...], int] = {}
-    zero = (0,) * d
-
-    def rec(i: int, hist: tuple[int, ...]):
-        if i == n:
-            profiles[hist] = profiles.get(hist, 0) + 1
-            return
-        for _, counts in blocks:
-            rec(i + 1, tuple(a + b for a, b in zip(hist, counts)))
-
-    rec(0, zero)
+    for code, ways in _half_walk_tally(n, codes).items():
+        hist = []
+        for _ in range(d):
+            code, digit = divmod(code, base)
+            hist.append(digit)
+        profiles[tuple(hist)] = ways
     return profiles
 
 
@@ -420,28 +452,50 @@ def signed_walk_sum(
     return sum(c * c for c in shapes.values())
 
 
+def all_walks_cost(m: int, d: int) -> int:
+    """Upper bound on the work of `count_all_walks_signed`: 2m steps that
+    each move every kept shape 2d ways.  After k steps a kept shape y has
+    sum |y_i - i| <= min(k, 2m - k) <= m, so y - delta is a weakly
+    increasing sequence with entries in [-m, m], of which there are
+    C(2m + d, d)."""
+    return 4 * m * d * comb(2 * m + d, d)
+
+
 def count_all_walks_signed(m: int, d: int) -> int:
     """Signed count over *all* walks of length 2m (every interleaving of
-    positive and negative steps) ending at Toeplitz points, by a dynamic
-    program over (steps taken, current point).
+    positive and negative steps) ending at Toeplitz points.
 
     The step set is symmetric, so the number of walks to p equals the number
-    to -p, and -T(pi) + delta is pi - 1 in one-line notation.  The final
-    distribution is therefore folded like a half-walk histogram: a point p
-    counts, with the sign of the sort, exactly when sorting p + delta gives
-    delta, and the d! Toeplitz points are never listed."""
+    to -p, and -T(pi) + delta is pi - 1 in one-line notation: the count is
+    the signed number of walks from delta to a permutation of delta.  The
+    step set is also closed under permuting directions, so the dynamic
+    program runs on sorted shapes, as `_shape_counts_dp` does, starting
+    from delta and reading the count at delta.  A unit step cannot carry an
+    entry past its neighbour: it either keeps the shape sorted (sign +1) or
+    makes a tie, whose terms cancel.  So every kept move has sign +1, and
+    the count is the number of closed walks from delta that keep the entries
+    strictly increasing.  Shapes farther from delta (in l1) than the steps
+    left cannot return and are dropped."""
     if m < 0 or d < 0:
         raise ValueError("need m >= 0 and d >= 0")
-    dist: dict[tuple[int, ...], int] = {(0,) * d: 1}
-    for _ in range(2 * m):
+    delta = tuple(range(d))
+    shapes: dict[tuple[int, ...], int] = {delta: 1}
+    for left in range(2 * m - 1, -1, -1):
         nxt: dict[tuple[int, ...], int] = {}
-        for point, ways in dist.items():
-            for j in range(d):
-                for delta in (1, -1):
-                    key = point[:j] + (point[j] + delta,) + point[j + 1 :]
+        for shape, ways in shapes.items():
+            for j, y in enumerate(shape):
+                if j == 0 or shape[j - 1] < y - 1:
+                    key = shape[:j] + (y - 1,) + shape[j + 1 :]
                     nxt[key] = nxt.get(key, 0) + ways
-        dist = nxt
-    return _fold_into_shapes(dist, d).get(tuple(range(d)), 0)
+                if j == d - 1 or y + 1 < shape[j + 1]:
+                    key = shape[:j] + (y + 1,) + shape[j + 1 :]
+                    nxt[key] = nxt.get(key, 0) + ways
+        shapes = {
+            key: ways
+            for key, ways in nxt.items()
+            if sum(abs(y - k) for y, k in zip(key, delta)) <= left
+        }
+    return shapes.get(delta, 0)
 
 
 # ------------------------------------------------- configuration <-> walks

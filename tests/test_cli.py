@@ -306,6 +306,29 @@ def test_count_zero_vertices_every_method(capsys):
         assert (code, out.strip()) == (0, "1"), method
 
 
+def test_count_zero_regularity_every_method(capsys):
+    for method in ("brute", "tableaux", "walks-enum", "walks-dp"):
+        code, out, err = run(
+            capsys, "count", "--n", "2", "--r", "0", "--d", "1", "--method", method
+        )
+        assert (code, out) == (2, ""), method
+        assert "error" in err, method
+
+
+def test_verify_rejects_threads_below_one(capsys):
+    for identity, params in (
+        ("theorem1", ("--n", "2", "--r", "1", "--d", "1")),
+        ("plk", ("--n", "2", "--r", "1", "--d", "1")),
+        ("mot", ("--m", "1", "--d", "1")),
+    ):
+        for threads in ("0", "-3"):
+            code, out, err = run(
+                capsys, "verify", identity, *params, "--threads", threads
+            )
+            assert (code, out) == (2, ""), (identity, threads)
+            assert "need threads >= 1" in err
+
+
 def test_verify_mot_rejects_negative_parameters(capsys):
     for m, d in (("-1", "2"), ("2", "-1")):
         code, _, err = run(capsys, "verify", "mot", "--m", m, "--d", d)

@@ -245,6 +245,13 @@ def test_count_tableau_pairs_subgraph_small():
     assert count_tableau_pairs(1, 2, 2, "subgraph") == 1
 
 
+def test_count_tableau_pairs_rejects_bad_domain():
+    # the same domain as the walk counters: r = 0 is no regular graph
+    for n, r, d in ((2, 0, 1), (-1, 2, 1), (2, 2, -1)):
+        with pytest.raises(ValueError, match="need n >= 0, r >= 1, d >= 0"):
+            count_tableau_pairs(n, r, d)
+
+
 # ------------------------------------------------------------ tableau <-> walk
 
 

@@ -26,6 +26,17 @@ def test_matching_identity_with_threads():
     assert report.passed and set(report.methods.values()) == {3}
 
 
+def test_verifiers_reject_threads_below_one():
+    for verify, args in (
+        (verify_matching_identity, (2, 1, 1)),
+        (verify_subgraph_identity, (2, 1, 1)),
+        (verify_walk_scaling, (1, 1)),
+    ):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="need threads >= 1"):
+                verify(*args, threads=threads)
+
+
 def test_subgraph_identity_examples():
     report = verify_subgraph_identity(1, 2, 2)
     assert report.passed and set(report.methods.values()) == {1}

@@ -1,3 +1,5 @@
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -11,8 +13,10 @@ from planarcount.perms import iter_permutations, perm_sign
 from planarcount.walks import (
     BudgetExceeded,
     Walk,
+    _block_choices,
     _half_profiles_enumerate,
     _sort_with_sign,
+    all_walks_cost,
     count_all_walks_signed,
     crossing_pairing,
     endpoint,
@@ -219,6 +223,36 @@ def test_counters_match_reference_toeplitz_join(n, r, d, kind):
     assert signed_walk_sum(n, r, d, kind, "dp") == expected
 
 
+@lru_cache(maxsize=None)
+def product_half_profiles(n, d, vectors):
+    """Reference: every sequence of n block count-vectors, summed as tuples."""
+    zero = (0,) * d
+    return Counter(tuple(map(sum, zip(zero, *seq))) for seq in product(vectors, repeat=n))
+
+
+ENUM_GRID = [
+    (n, r, d, kind)
+    for r in range(1, 5)
+    for n in range(0, 7 // r + 1)
+    for d in range(0, r * n + 3)
+    for kind in ("matching", "subgraph")
+]
+
+
+@pytest.mark.parametrize("n,r,d,kind", ENUM_GRID)
+def test_half_profiles_enumerate_matches_product_reference(n, r, d, kind):
+    profiles = _half_profiles_enumerate(n, r, d, kind)
+    assert sum(profiles.values()) == signed_walk_cost(n, r, d, kind, "enumerate")
+    if r == 1:
+        other = "subgraph" if kind == "matching" else "matching"
+        assert profiles == _half_profiles_enumerate(n, r, d, other)
+    # the reference pays about 3 us a leaf; (7, 1, 8) and (7, 1, 9) would
+    # take 20 s, so their histograms are checked above by total and kind only
+    if signed_walk_cost(n, r, d, kind, "enumerate") <= 7**7:
+        vectors = tuple(counts for _, counts in _block_choices(d, r, kind))
+        assert profiles == product_half_profiles(n, d, vectors)
+
+
 @pytest.mark.parametrize("d", range(6))
 def test_sort_with_sign(d):
     for perm in iter_permutations(d):
@@ -298,6 +332,15 @@ def all_walks_toeplitz_join(m, d):
                     nxt[key] = nxt.get(key, 0) + ways
         dist = nxt
     return sum(sign * dist.get(point, 0) for _, point, sign in iter_toeplitz(d))
+
+
+def test_all_walks_cost():
+    assert all_walks_cost(3, 9) == 108 * comb(15, 9)
+    assert all_walks_cost(0, 4) == all_walks_cost(4, 0) == 0
+    # never above the Z^d estimate that `verify mot` used before
+    for m in range(8):
+        for d in range(12):
+            assert all_walks_cost(m, d) <= 4 * m * d * (2 * m + 1) ** d
 
 
 @pytest.mark.parametrize("m", range(5))
