@@ -16,7 +16,6 @@ from .graphs import (
     count_bounded_matching,
     count_bounded_subgraph,
     enumerate_multigraphs,
-    largest_planar_matching,
     largest_planar_subgraph_size,
     planar_matching_profile,
     project_configuration,
@@ -38,9 +37,11 @@ from .tableaux import (
     tableau_from_column_word,
 )
 from .verify import (
+    METHODS,
     VerificationReport,
     audit_bijections,
     audit_involution,
+    count_graphs,
     verify_gessel_identity,
     verify_matching_identity,
     verify_subgraph_identity,

@@ -23,36 +23,28 @@ import argparse
 import json
 import sys
 import time
-from math import factorial
 
 from .graphs import (
     Multigraph,
     canonical_lift,
-    count_bounded_matching,
-    count_bounded_subgraph,
+    check_count_params,
     planar_matching_profile,
     sample_configuration,
 )
 from .perms import check_permutation
-from .tableaux import count_tableau_pairs, rsk, rsk_inverse
+from .tableaux import rsk, rsk_inverse
 from .verify import (
     DEFAULT_BUDGET,
-    _graph_bound,
-    _require,
+    METHODS,
     audit_bijections,
     audit_involution,
+    count_graphs,
     verify_gessel_identity,
     verify_matching_identity,
     verify_subgraph_identity,
     verify_walk_scaling,
 )
-from .walks import (
-    BudgetExceeded,
-    Walk,
-    crossing_pairing,
-    profile_walk,
-    signed_walk_sum,
-)
+from .walks import BudgetExceeded, Walk, crossing_pairing, profile_walk, require_budget
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:
@@ -80,19 +72,7 @@ def _emit(args, payload: dict, human: str) -> None:
 def cmd_count(args) -> int:
     started = time.perf_counter()
     kind = "subgraph" if args.subgraph else "matching"
-    if args.method == "brute":
-        _require(_graph_bound(args.n, args.r), args.budget, "count")
-        fn = count_bounded_subgraph if args.subgraph else count_bounded_matching
-        value = fn(args.n, args.r, args.d)
-    elif args.method == "tableaux":
-        _require(factorial(args.n * args.r), args.budget, "count")
-        value = count_tableau_pairs(args.n, args.r, args.d, kind)
-    elif args.method == "walks-enum":
-        value = signed_walk_sum(
-            args.n, args.r, args.d, kind, "enumerate", budget=args.budget
-        )
-    else:
-        value = signed_walk_sum(args.n, args.r, args.d, kind, "dp", budget=args.budget)
+    value = count_graphs(args.n, args.r, args.d, kind, args.method, args.budget)
     elapsed = (time.perf_counter() - started) * 1000
     payload = {
         "n": args.n,
@@ -235,18 +215,22 @@ def cmd_demo(args) -> int:
 
 
 def cmd_table(args) -> int:
-    estimate = sum(_graph_bound(n, args.r) for n in range(1, args.n_max + 1))
-    if args.sample:
-        estimate += args.sample * args.n_max
-    _require(estimate, args.budget, "table")
+    check_count_params(args.n_max, args.r, 0)
+    if args.sample < 0:
+        raise ValueError("sample must be >= 0")
+    brute = METHODS["brute"]
+    ns = range(1, args.n_max + 1)
+    estimate = sum(brute.cost(n, args.r, 0, "matching") for n in ns)
+    require_budget(estimate + args.sample * args.n_max, args.budget, "table")
     d_max = args.r * args.n_max
-    rows = []
-    for n in range(1, args.n_max + 1):
-        for d in range(0, d_max + 1):
-            rows.append((n, args.r, d, count_bounded_matching(n, args.r, d)))
+    rows = [
+        (n, args.r, d, brute.count(n, args.r, d, "matching"))
+        for n in ns
+        for d in range(0, d_max + 1)
+    ]
     empirical = {}
     if args.sample:
-        for n in range(1, args.n_max + 1):
+        for n in ns:
             dist: dict[int, int] = {}
             for i in range(args.sample):
                 perm = sample_configuration(n, args.r, args.seed + i)
@@ -349,7 +333,7 @@ def _add_common(parser, *, formats=("table", "json"), budget=True, threads=False
         )
     if threads:
         parser.add_argument(
-            "--threads", type=int, default=1, help="run independent methods in parallel"
+            "--threads", type=int, default=1, help="must be >= 1; methods run serially"
         )
 
 
@@ -369,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--d", type=int, required=True)
     p_count.add_argument(
         "--method",
-        choices=["brute", "tableaux", "walks-enum", "walks-dp"],
+        choices=list(METHODS),
         default="brute",
     )
     p_count.add_argument(

@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 from typing import Iterator, NamedTuple
 
 from .perms import check_permutation, perm_inverse
@@ -55,6 +56,12 @@ class Multigraph:
         if r is None:
             r = sum(rows[0]) if rows and rows[0] else 0
         return cls(n=len(rows), r=r, rows=rows)
+
+
+def check_count_params(n: int, r: int, d: int) -> None:
+    """The parameter domain shared by every counting method."""
+    if n < 0 or r < 1 or d < 0:
+        raise ValueError("need n >= 0, r >= 1, d >= 0")
 
 
 class MatchingProfile(NamedTuple):
@@ -170,10 +177,6 @@ def planar_matching_profile(perm) -> MatchingProfile:
     return MatchingProfile(left, right, max(left, default=0))
 
 
-def largest_planar_matching(perm) -> int:
-    return planar_matching_profile(perm).largest
-
-
 def largest_planar_subgraph_size(g: Multigraph) -> int:
     """Maximum total multiplicity over chains of cells weakly increasing in
     both coordinates (noncrossing edges that may share endpoints)."""
@@ -200,17 +203,21 @@ def _planar_sizes(n: int, r: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def enumeration_cost(n: int, r: int) -> int:
+    """Upper bound on the nodes `enumerate_multigraphs` explores: the
+    row-by-row fill without column pruning; n = 0 has the one empty graph."""
+    return comb(n + r - 1, n - 1) ** n * n if n > 0 else 1
+
+
 def count_bounded_matching(n: int, r: int, d: int) -> int:
     """Number of r-regular multigraphs whose largest planar matching is <= d."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    check_count_params(n, r, d)
     return sum(1 for size, _ in _planar_sizes(n, r) if size <= d)
 
 
 def count_bounded_subgraph(n: int, r: int, d: int) -> int:
     """Number of r-regular multigraphs whose largest planar subgraph is <= d."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    check_count_params(n, r, d)
     return sum(1 for _, size in _planar_sizes(n, r) if size <= d)
 
 

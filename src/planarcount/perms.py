@@ -41,8 +41,3 @@ def perm_sign(perm: tuple[int, ...]) -> int:
 def iter_permutations(m: int) -> Iterator[tuple[int, ...]]:
     """All permutations of [m] in lexicographic order; the empty one for m = 0."""
     return _permutations(range(1, m + 1))
-
-
-def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))

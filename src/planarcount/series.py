@@ -67,9 +67,6 @@ class RationalSeries:
             coefficients=tuple((deg, -c) for deg, c in self.coefficients),
         )
 
-    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        return self + (-other)
-
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         m = min(self.truncation, other.truncation)
         out: dict[int, Fraction] = {}

@@ -11,8 +11,10 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Iterator
 
+from .graphs import check_count_params
 from .perms import check_permutation
 
 
@@ -249,9 +251,13 @@ def count_tableau_pairs(n: int, r: int, d: int, kind: str = "matching") -> int:
     The two members of a pair are constrained independently given the shape,
     so the total is the sum over shapes of the squared per-shape count.
     """
-    if n < 0 or r < 1 or d < 0:
-        raise ValueError("need n >= 0, r >= 1, d >= 0")
+    check_count_params(n, r, d)
     return sum(c * c for c in _condition_counts_by_shape(n, r, d, kind).values())
+
+
+def tableau_pairs_cost(n: int, r: int) -> int:
+    """Bound on the tableaux `count_tableau_pairs` enumerates: (rn)!."""
+    return factorial(n * r)
 
 
 def column_walk(t: YoungTableau, d: int | None = None):

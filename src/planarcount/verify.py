@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import (
     canonical_lift,
+    check_count_params,
     count_bounded_lis,
     count_bounded_matching,
     count_bounded_subgraph,
     enumerate_multigraphs,
+    enumeration_cost,
     planar_matching_profile,
 )
 from .series import bessel_series, determinant_cost, series_determinant
@@ -38,9 +39,9 @@ from .tableaux import (
     rsk,
     rsk_inverse,
     tableau_from_column_word,
+    tableau_pairs_cost,
 )
 from .walks import (
-    BudgetExceeded,
     Walk,
     all_walks_cost,
     count_all_walks_signed,
@@ -56,6 +57,7 @@ from .walks import (
     offregion_involution,
     profile_violations,
     profile_walk,
+    require_budget,
     reverse_negative_half,
     signed_walk_cost,
     signed_walk_sum,
@@ -63,6 +65,55 @@ from .walks import (
 )
 
 DEFAULT_BUDGET = 500_000_000
+
+
+class Method(NamedTuple):
+    """A counting method: report label, count and cost (a work bound)."""
+
+    label: str
+    count: Callable[[int, int, int, str], int]
+    cost: Callable[[int, int, int, str], int]
+
+
+# The one list of counting methods.  The lambdas look the functions up when
+# called, so a function rebound in this module's namespace is the one used.
+METHODS = {
+    "brute": Method(
+        "graph_enumeration",
+        lambda n, r, d, kind: (
+            count_bounded_subgraph if kind == "subgraph" else count_bounded_matching
+        )(n, r, d),
+        lambda n, r, d, kind: enumeration_cost(n, r),
+    ),
+    "tableaux": Method(
+        "tableau_pairs",
+        lambda n, r, d, kind: count_tableau_pairs(n, r, d, kind),
+        lambda n, r, d, kind: tableau_pairs_cost(n, r),
+    ),
+    "walks-enum": Method(
+        "walks_enumerated",
+        lambda n, r, d, kind: signed_walk_sum(n, r, d, kind, "enumerate"),
+        lambda n, r, d, kind: signed_walk_cost(n, r, d, kind, "enumerate"),
+    ),
+    "walks-dp": Method(
+        "walks_dp",
+        lambda n, r, d, kind: signed_walk_sum(n, r, d, kind, "dp"),
+        lambda n, r, d, kind: signed_walk_cost(n, r, d, kind, "dp"),
+    ),
+}
+
+
+def count_graphs(
+    n: int, r: int, d: int, kind: str, method: str, budget: int | None = DEFAULT_BUDGET
+) -> int:
+    """Graphs with largest planar matching (or subgraph) <= d, counted by
+    one method of METHODS: validate, refuse on cost, then count."""
+    check_count_params(n, r, d)
+    if method not in METHODS or kind not in ("matching", "subgraph"):
+        raise ValueError(f"unknown method {method!r} or kind {kind!r}")
+    entry = METHODS[method]
+    require_budget(entry.cost(n, r, d, kind), budget, f"{method} count")
+    return entry.count(n, r, d, kind)
 
 
 @dataclass(frozen=True)
@@ -104,39 +155,9 @@ def _as_text(value):
     return str(value)
 
 
-def _require(estimate: int, budget: int | None, what: str) -> None:
-    if budget is not None and estimate > budget:
-        raise BudgetExceeded(
-            f"{what}: estimated {estimate} nodes exceeds budget {budget}"
-        )
-
-
 def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ValueError("need threads >= 1")
-
-
-def _run_methods(tasks: dict[str, Callable[[], object]], threads: int) -> dict:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(fn) for name, fn in tasks.items()}
-            return {name: futures[name].result() for name in tasks}
-    return {name: fn() for name, fn in tasks.items()}
-
-
-def _graph_bound(n: int, r: int) -> int:
-    # row-by-row fill explores at most this many nodes (no column pruning);
-    # n = 0 has the one empty multigraph
-    if n <= 0:
-        return 1
-    return comb(n + r - 1, n - 1) ** n * n
-
-
-def _walk_bound(n: int, r: int, d: int, kind: str) -> int:
-    # both counters of the signed walk sum
-    return signed_walk_cost(n, r, d, kind, "enumerate") + signed_walk_cost(
-        n, r, d, kind, "dp"
-    )
 
 
 def _identity_report(identity, params, methods, started) -> VerificationReport:
@@ -156,52 +177,31 @@ def _identity_report(identity, params, methods, started) -> VerificationReport:
     )
 
 
+def _verify_identity(identity, n, r, d, kind, budget, threads) -> VerificationReport:
+    """Count one (n, r, d, kind) with every method of METHODS, one after
+    another, under the sum of their costs; the report keys are their labels."""
+    _check_threads(threads)
+    started = time.perf_counter()
+    check_count_params(n, r, d)
+    estimate = sum(entry.cost(n, r, d, kind) for entry in METHODS.values())
+    require_budget(estimate, budget, f"{kind} identity")
+    methods = {entry.label: entry.count(n, r, d, kind) for entry in METHODS.values()}
+    return _identity_report(identity, {"n": n, "r": r, "d": d}, methods, started)
+
+
 def verify_matching_identity(
     n: int, r: int, d: int, budget: int | None = DEFAULT_BUDGET, threads: int = 1
 ) -> VerificationReport:
-    """Count graphs with largest planar matching <= d four ways: direct
-    enumeration, condition-counted tableau pairs, and the signed restricted
-    walk sum with both counters."""
-    _check_threads(threads)
-    started = time.perf_counter()
-    estimate = _graph_bound(n, r) + factorial(n * r) + _walk_bound(n, r, d, "matching")
-    _require(estimate, budget, "matching identity")
-    methods = _run_methods(
-        {
-            "graph_enumeration": lambda: count_bounded_matching(n, r, d),
-            "tableau_pairs": lambda: count_tableau_pairs(n, r, d, "matching"),
-            "walks_enumerated": lambda: signed_walk_sum(
-                n, r, d, "matching", "enumerate"
-            ),
-            "walks_dp": lambda: signed_walk_sum(n, r, d, "matching", "dp"),
-        },
-        threads,
-    )
-    return _identity_report(
-        "theorem1", {"n": n, "r": r, "d": d}, methods, started
-    )
+    """Count graphs with largest planar matching <= d with every method of
+    METHODS.  `threads` must be >= 1; the methods run one after another."""
+    return _verify_identity("theorem1", n, r, d, "matching", budget, threads)
 
 
 def verify_subgraph_identity(
     n: int, r: int, d: int, budget: int | None = DEFAULT_BUDGET, threads: int = 1
 ) -> VerificationReport:
-    """Same three-way check for the largest planar subgraph variant."""
-    _check_threads(threads)
-    started = time.perf_counter()
-    estimate = _graph_bound(n, r) + factorial(n * r) + _walk_bound(n, r, d, "subgraph")
-    _require(estimate, budget, "subgraph identity")
-    methods = _run_methods(
-        {
-            "graph_enumeration": lambda: count_bounded_subgraph(n, r, d),
-            "tableau_pairs": lambda: count_tableau_pairs(n, r, d, "subgraph"),
-            "walks_enumerated": lambda: signed_walk_sum(
-                n, r, d, "subgraph", "enumerate"
-            ),
-            "walks_dp": lambda: signed_walk_sum(n, r, d, "subgraph", "dp"),
-        },
-        threads,
-    )
-    return _identity_report("plk", {"n": n, "r": r, "d": d}, methods, started)
+    """Same check for the largest planar subgraph variant."""
+    return _verify_identity("plk", n, r, d, "subgraph", budget, threads)
 
 
 def verify_walk_scaling(
@@ -215,17 +215,13 @@ def verify_walk_scaling(
     if m < 0 or d < 0:
         raise ValueError("need m >= 0 and d >= 0")
     estimate = all_walks_cost(m, d) + factorial(m) + d**m
-    _require(estimate, budget, "walk scaling")
+    require_budget(estimate, budget, "walk scaling")
     scale = comb(2 * m, m)
-    methods = _run_methods(
-        {
-            "all_walks_dp": lambda: count_all_walks_signed(m, d),
-            "representatives_scaled": lambda: scale
-            * signed_walk_sum(m, 1, d, "matching", "dp"),
-            "lis_scaled": lambda: scale * count_bounded_lis(m, d),
-        },
-        threads,
-    )
+    methods = {
+        "all_walks_dp": count_all_walks_signed(m, d),
+        "representatives_scaled": scale * signed_walk_sum(m, 1, d, "matching", "dp"),
+        "lis_scaled": scale * count_bounded_lis(m, d),
+    }
     return _identity_report("mot", {"m": m, "d": d}, methods, started)
 
 
@@ -240,7 +236,7 @@ def verify_gessel_identity(
         raise ValueError("need d >= 1")
     if truncation < 0 or truncation % 2:
         raise ValueError("truncation degree must be even and >= 0")
-    _require(
+    require_budget(
         determinant_cost(d, truncation)
         + factorial(truncation // 2) * (truncation // 2),
         budget,
@@ -317,9 +313,10 @@ def audit_involution(
     started = time.perf_counter()
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
+    check_count_params(n, r, d)
     # the audit still enumerates walks per Toeplitz endpoint, all d! of them
     half_walks = signed_walk_cost(n, r, d, "matching", "enumerate")
-    _require((2 * half_walks + factorial(d)) ** 2, budget, "involution audit")
+    require_budget((2 * half_walks + factorial(d)) ** 2, budget, "involution audit")
 
     domain: dict[Walk, int] = {}
     for w, sign in _restricted_walk_family(n, r, d):
@@ -409,8 +406,11 @@ def audit_bijections(
        the crossing pairing as two-sided inverse.
     """
     started = time.perf_counter()
+    check_count_params(n, r, d)
     m = n * r
-    _require(_graph_bound(n, r) + factorial(m) * (m + 1), budget, "bijection audit")
+    require_budget(
+        enumeration_cost(n, r) + factorial(m) * (m + 1), budget, "bijection audit"
+    )
 
     failures = 0
     witness = None

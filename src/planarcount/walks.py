@@ -35,7 +35,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .graphs import planar_matching_profile
+from .graphs import check_count_params, planar_matching_profile
 from .perms import check_permutation, perm_sign
 
 
@@ -298,6 +298,14 @@ class BudgetExceeded(RuntimeError):
     node budget would be exceeded.  No partial result is returned."""
 
 
+def require_budget(estimate: int, budget: int | None, what: str) -> None:
+    """Refuse before any work when the estimate exceeds the budget."""
+    if budget is not None and estimate > budget:
+        raise BudgetExceeded(
+            f"{what}: estimated {estimate} nodes exceeds budget {budget}"
+        )
+
+
 def _spend(state: list, amount: int, what: str) -> None:
     if state is None:
         return
@@ -440,11 +448,8 @@ def signed_walk_sum(
     and folds its displacement histogram into shapes; counter "dp" adds one
     block at a time to signed shape counts and never forms a histogram.
     """
-    if n < 0 or r < 1 or d < 0:
-        raise ValueError("need n >= 0, r >= 1, d >= 0")
-    cost = signed_walk_cost(n, r, d, kind, counter)
-    if budget is not None and cost > budget:
-        raise BudgetExceeded("signed walk sum would exceed the node budget")
+    check_count_params(n, r, d)
+    require_budget(signed_walk_cost(n, r, d, kind, counter), budget, "signed walk sum")
     if counter == "enumerate":
         shapes = _fold_into_shapes(_half_profiles_enumerate(n, r, d, kind), d)
     else:
@@ -733,8 +738,7 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
     of the positive half; and the before/after constraints are checked
     incrementally while the negative half is built back to front.
     """
-    if n < 0 or r < 1 or d < 0:
-        raise ValueError("need n >= 0, r >= 1, d >= 0")
+    check_count_params(n, r, d)
     m = n * r
     state = [budget] if budget is not None else None
     pos_acc: list[int] = []
@@ -825,8 +829,7 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
 def iter_region_walks(n: int, r: int, d: int, budget: int | None = None):
     """Every closed reversed-family walk of length 2rn staying in the
     dominance region x_1 >= ... >= x_d, by pruned backtracking."""
-    if n < 0 or r < 1 or d < 0:
-        raise ValueError("need n >= 0, r >= 1, d >= 0")
+    check_count_params(n, r, d)
     m = n * r
     state = [budget] if budget is not None else None
     if m == 0:

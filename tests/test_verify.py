@@ -1,17 +1,20 @@
 import json
+from math import comb, factorial
 
 import pytest
 
 from planarcount.verify import (
+    METHODS,
     VerificationReport,
     audit_bijections,
     audit_involution,
+    count_graphs,
     verify_gessel_identity,
     verify_matching_identity,
     verify_subgraph_identity,
     verify_walk_scaling,
 )
-from planarcount.walks import BudgetExceeded, Walk
+from planarcount.walks import BudgetExceeded, Walk, signed_walk_cost
 
 
 def test_matching_identity_examples():
@@ -169,3 +172,41 @@ def test_failed_report_includes_witness():
     )
     payload = json.loads(report.to_json())
     assert payload["witness"].startswith("method disagreement")
+
+
+def test_identity_budget_matches_the_sum_of_method_costs():
+    # the estimate written out term by term: brute-force fill bound, (rn)!
+    # tableaux, and both walk counters
+    for verify, kind in (
+        (verify_matching_identity, "matching"),
+        (verify_subgraph_identity, "subgraph"),
+    ):
+        for r in (1, 2, 3):
+            for n in range(1, 7 // r + 1):
+                for d in range(n * r + 1):
+                    estimate = (
+                        comb(n + r - 1, n - 1) ** n * n
+                        + factorial(n * r)
+                        + signed_walk_cost(n, r, d, kind, "enumerate")
+                        + signed_walk_cost(n, r, d, kind, "dp")
+                    )
+                    with pytest.raises(BudgetExceeded) as refused:
+                        verify(n, r, d, budget=estimate - 1)
+                    assert f"estimated {estimate} nodes" in str(refused.value)
+    assert verify_matching_identity(2, 2, 2, budget=18 + 24 + 9 + 18).passed
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_count_graphs_refuses_exactly_above_cost(method):
+    n, r, d, kind = 2, 2, 3, "subgraph"
+    cost = METHODS[method].cost(n, r, d, kind)
+    assert count_graphs(n, r, d, kind, method, budget=cost) == 2
+    with pytest.raises(BudgetExceeded):
+        count_graphs(n, r, d, kind, method, budget=cost - 1)
+
+
+def test_count_graphs_rejects_unknown_names():
+    with pytest.raises(ValueError):
+        count_graphs(2, 2, 2, "matching", "nonsense")
+    with pytest.raises(ValueError):
+        count_graphs(2, 2, 2, "nonsense", "brute")
