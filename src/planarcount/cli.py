@@ -290,6 +290,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    check_count_params(args.n, args.r, 0)
     if args.count < 0:
         raise ValueError("count must be >= 0")
     samples = []

@@ -248,6 +248,7 @@ def sample_configuration(n: int, r: int, seed: int) -> tuple[int, ...]:
     not sample multigraphs uniformly: a multigraph is hit with probability
     proportional to the product of 1/t! over its edge multiplicities t.
     """
+    check_count_params(n, r, 0)
     rng = random.Random(seed)
     values = list(range(1, n * r + 1))
     for i in range(len(values) - 1, 0, -1):

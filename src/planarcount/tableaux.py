@@ -18,7 +18,7 @@ from .graphs import check_count_params
 from .perms import check_permutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class YoungTableau:
     rows: tuple[tuple[int, ...], ...]
 
@@ -84,27 +84,36 @@ class YoungTableau:
 EMPTY_TABLEAU = YoungTableau(rows=())
 
 
-def row_insert(t: YoungTableau, x: int) -> tuple[YoungTableau, tuple[int, int]]:
-    """Schensted insertion: x bumps the smallest larger entry of row 1, the
-    bumped value recurses into row 2, and so on.  Returns the new tableau and
-    the (row, column) of the created box."""
-    if x in set(t.entries()):
-        raise ValueError(f"{x} is already an entry")
-    rows = [list(row) for row in t.rows]
+def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:
+    """Schensted insertion on plain lists, in place: x bumps the smallest
+    larger entry of row 1, the bumped value recurses into row 2, and so on.
+    Returns the 1-based (row, column) of the created box."""
     i = 0
     while True:
         if i == len(rows):
             rows.append([x])
-            box = (i + 1, 1)
-            break
-        j = bisect_right(rows[i], x)
-        if j == len(rows[i]):
-            rows[i].append(x)
-            box = (i + 1, len(rows[i]))
-            break
-        x, rows[i][j] = rows[i][j], x
+            return (i + 1, 1)
+        row = rows[i]
+        j = bisect_right(row, x)
+        if j == len(row):
+            row.append(x)
+            return (i + 1, j + 1)
+        x, row[j] = row[j], x
         i += 1
-    return YoungTableau(tuple(tuple(row) for row in rows)), box
+
+
+def _freeze(rows: list[list[int]]) -> YoungTableau:
+    return YoungTableau(tuple(tuple(row) for row in rows))
+
+
+def row_insert(t: YoungTableau, x: int) -> tuple[YoungTableau, tuple[int, int]]:
+    """Schensted insertion of x into a copy of t.  Returns the new tableau
+    and the (row, column) of the created box."""
+    if x in set(t.entries()):
+        raise ValueError(f"{x} is already an entry")
+    rows = [list(row) for row in t.rows]
+    box = _insert(rows, x)
+    return _freeze(rows), box
 
 
 def rsk(perm) -> tuple[YoungTableau, YoungTableau]:
@@ -112,19 +121,19 @@ def rsk(perm) -> tuple[YoungTableau, YoungTableau]:
 
     P collects the values in insertion order; Q records in which box the
     i-th insertion grew the shape.  The two always share a shape, and the
-    number of columns equals the longest increasing subsequence.
+    number of columns equals the longest increasing subsequence.  Both are
+    built on plain lists and validated once, at the end.
     """
     perm = check_permutation(perm)
-    p = EMPTY_TABLEAU
+    p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for i, value in enumerate(perm, start=1):
-        p, (bi, bj) = row_insert(p, value)
+        bi, _ = _insert(p_rows, value)
         if bi > len(q_rows):
             q_rows.append([i])
         else:
             q_rows[bi - 1].append(i)
-    q = YoungTableau(tuple(tuple(row) for row in q_rows))
-    return p, q
+    return _freeze(p_rows), _freeze(q_rows)
 
 
 def rsk_inverse(p: YoungTableau, q: YoungTableau) -> tuple[int, ...]:

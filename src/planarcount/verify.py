@@ -276,13 +276,76 @@ def verify_gessel_identity(
 # ---------------------------------------------------------------- audits
 
 
+class _LiftFacts(NamedTuple):
+    """What the bijection audit needs to know about one multigraph lift that
+    does not depend on d: its largest planar matching, RSK pair (None when
+    the shapes differ) and column count, profile halves, and the failure
+    notes of the RSK checks and of the profile-walk checks."""
+
+    lift: tuple[int, ...]
+    largest: int
+    pair: tuple | None
+    columns: int
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    rsk_notes: tuple[str, ...]
+    profile_notes: tuple[str, ...]
+
+
 @lru_cache(maxsize=None)
-def _lifted_configurations(n: int, r: int) -> tuple:
-    """(configuration, largest matching size) for every multigraph."""
+def _lift_facts(n: int, r: int) -> tuple[_LiftFacts, ...]:
+    """The lift side of `audit_bijections` for every multigraph, once per
+    (n, r).  Equal tableaux are interned to one object."""
+    m = n * r
+    interned: dict = {}
     out = []
     for g in enumerate_multigraphs(n, r):
         lift = canonical_lift(g)
-        out.append((lift, planar_matching_profile(lift).largest))
+        p, q = rsk(lift)
+        p = interned.setdefault(p.rows, p)
+        q = interned.setdefault(q.rows, q)
+        pair = None
+        rsk_notes = []
+        if p.shape != q.shape:
+            rsk_notes.append(f"configuration {lift}: unequal shapes")
+        else:
+            pair = (p, q)
+            if m and not (
+                blocks_strictly_below(p, n, r) and blocks_strictly_below(q, n, r)
+            ):
+                rsk_notes.append(
+                    f"configuration {lift}: image lacks strict block descents"
+                )
+            if rsk_inverse(p, q) != lift:
+                rsk_notes.append(f"configuration {lift}: insertion round trip failed")
+        # the profile checks read only the steps, so the walk's d is immaterial
+        w = profile_walk(lift)
+        profile_notes = []
+        if not in_restricted_family(w, r, "matching"):
+            profile_notes.append(
+                f"profile walk {w.to_text()} violates the block conditions"
+            )
+        if not is_profile_walk(w):
+            profile_notes.append(
+                f"profile walk {w.to_text()} fails its own characterization"
+            )
+        back = crossing_pairing(w)
+        if not back.is_complete or back.as_permutation() != lift:
+            profile_notes.append(
+                f"crossing pairing does not invert the profile of {lift}"
+            )
+        out.append(
+            _LiftFacts(
+                lift=lift,
+                largest=planar_matching_profile(lift).largest,
+                pair=pair,
+                columns=p.column_count,
+                left=w.pos,
+                right=w.neg,
+                rsk_notes=tuple(rsk_notes),
+                profile_notes=tuple(profile_notes),
+            )
+        )
     return tuple(out)
 
 
@@ -343,12 +406,20 @@ def audit_involution(
         if witness is None:
             witness = f"walk {w.to_text()}: {why}"
 
-    for w, sign in domain.items():
+    # every walk is mapped once; an image's own entry serves the
+    # self-inverse check
+    images: dict[Walk, Walk | Exception] = {}
+    for w in domain:
         try:
-            image = rho(w, r)
+            images[w] = rho(w, r)
         except Exception as exc:  # noqa: BLE001 - a refusal is a failed audit
+            images[w] = exc
+
+    for w, sign in domain.items():
+        image = images[w]
+        if isinstance(image, Exception):
             closure_failures += 1
-            note(w, f"involution raised {exc!r}")
+            note(w, f"involution raised {image!r}")
             continue
         if image == w:
             fixed_points += 1
@@ -361,8 +432,11 @@ def audit_involution(
         if domain[image] != -sign:
             sign_failures += 1
             note(w, "endpoint permutation sign did not flip")
-        back = rho(image, r)
-        if back != w:
+        back = images[image]
+        if isinstance(back, Exception):
+            self_inverse_failures += 1
+            note(w, f"rho(rho(w)) raised {back!r}")
+        elif back != w:
             self_inverse_failures += 1
             note(w, f"rho(rho(w)) = {back.to_text()} differs")
 
@@ -404,6 +478,10 @@ def audit_bijections(
     3. prefix-profile walks: the profile map sends bounded configurations
        exactly onto the restricted walks that look like prefix profiles, with
        the crossing pairing as two-sided inverse.
+
+    The lift side does not depend on d and comes from `_lift_facts`, once per
+    (n, r); its checks are replayed for every lift bounded by d.  The other
+    side (tableaux, region walks, profile walks) is enumerated afresh here.
     """
     started = time.perf_counter()
     check_count_params(n, r, d)
@@ -421,26 +499,19 @@ def audit_bijections(
         if witness is None:
             witness = why
 
-    bounded = [
-        lift for lift, size in _lifted_configurations(n, r) if size <= d
-    ]
+    bounded = [facts for facts in _lift_facts(n, r) if facts.largest <= d]
 
     # --- RSK image characterization
     pairs_from_graphs = set()
-    for lift in bounded:
-        p, q = rsk(lift)
-        if p.shape != q.shape:
-            note(f"configuration {lift}: unequal shapes")
+    for facts in bounded:
+        if facts.pair is None:
+            note(facts.rsk_notes[0])
             continue
-        if p.column_count > d:
-            note(f"configuration {lift}: more than {d} columns")
-        if m and not (
-            blocks_strictly_below(p, n, r) and blocks_strictly_below(q, n, r)
-        ):
-            note(f"configuration {lift}: image lacks strict block descents")
-        if rsk_inverse(p, q) != lift:
-            note(f"configuration {lift}: insertion round trip failed")
-        pairs_from_graphs.add((p, q))
+        if facts.columns > d:
+            note(f"configuration {facts.lift}: more than {d} columns")
+        for why in facts.rsk_notes:
+            note(why)
+        pairs_from_graphs.add(facts.pair)
     if len(pairs_from_graphs) != len(bounded):
         note("tableau-pair map is not injective")
 
@@ -479,16 +550,10 @@ def audit_bijections(
 
     # --- profile walks
     images = set()
-    for lift in bounded:
-        w = profile_walk(lift, d=d)
-        images.add(w)
-        if not in_restricted_family(w, r, "matching"):
-            note(f"profile walk {w.to_text()} violates the block conditions")
-        if not is_profile_walk(w):
-            note(f"profile walk {w.to_text()} fails its own characterization")
-        back = crossing_pairing(w)
-        if not back.is_complete or back.as_permutation() != lift:
-            note(f"crossing pairing does not invert the profile of {lift}")
+    for facts in bounded:
+        images.add(Walk(d=d, pos=facts.left, neg=facts.right))
+        for why in facts.profile_notes:
+            note(why)
     if len(images) != len(bounded):
         note("profile map is not injective")
     direct_walks = set()

@@ -39,7 +39,7 @@ from .graphs import check_count_params, planar_matching_profile
 from .perms import check_permutation, perm_sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Walk:
     """A walk in representative form: positive steps, then negative steps."""
 
@@ -89,7 +89,7 @@ class OccurrenceProfile(NamedTuple):
     lower: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuasiConfiguration:
     """A partial injective pairing of left nodes [m] with right nodes [m]."""
 
@@ -580,7 +580,12 @@ def profile_violations(w: Walk) -> tuple[int, ...]:
     steps exists (k = occurrences of c up to u), and the l-th-to-last
     occurrence of c-1 among the negative steps, if it exists, comes earlier.
     """
-    same, lower = occurrence_profile(w)
+    return _profile_violations(w, occurrence_profile(w))
+
+
+def _profile_violations(w: Walk, profile: OccurrenceProfile) -> tuple[int, ...]:
+    """`profile_violations` given the walk's occurrence profile."""
+    same, lower = profile
     bad = []
     for u in range(1, len(w.pos) + 1):
         c = w.pos[u - 1]
@@ -621,6 +626,8 @@ def _toeplitz_preimage(point) -> tuple[int, ...]:
 def _reassign_block(values: list, positions: list[int], high: int, hi_first: bool):
     """Swap the multiplicities of `high` and `high-1` on `positions`, writing
     the larger value first (hi_first) or last."""
+    if not positions:
+        return
     n_high = sum(1 for s in positions if values[s - 1] == high)
     n_low = len(positions) - n_high
     # counts swap: old lows become highs and vice versa
@@ -649,13 +656,13 @@ def nonprofile_involution(w: Walk, r: int) -> Walk:
     if not in_restricted_family(w, r, "matching"):
         raise ValueError("walk does not satisfy the block conditions")
     _toeplitz_preimage(endpoint(w))
-    violations = profile_violations(w)
+    profile = occurrence_profile(w)
+    violations = _profile_violations(w, profile)
     if not violations:
         raise ValueError("walk is a prefix matching profile; not in the domain")
     u = violations[0]
     c = w.pos[u - 1]
-    same, low = occurrence_profile(w)
-    l = low[u - 1]
+    l = profile.lower[u - 1]
     if l == 0:
         v_bar = m + 1
     else:

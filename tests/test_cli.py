@@ -386,6 +386,9 @@ def test_every_method_rejects_the_same_domain(capsys):
         cases.append(("audit", "bijections", *params))
     cases.append(("table", "--n-max", "-1", "--r", "2"))
     cases.append(("table", "--n-max", "2", "--r", "0"))
+    cases.append(("sample", "--n", "-1", "--r", "2", "--seed", "1"))
+    cases.append(("sample", "--n", "2", "--r", "0", "--seed", "1"))
+    cases.append(("sample", "--n", "2", "--r", "0", "--seed", "1", "--count", "0"))
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out, err.strip()) == (2, "", DOMAIN_ERROR), argv

@@ -286,6 +286,12 @@ def test_sampling_is_deterministic_under_seed():
     assert sample_configuration(1, 1, 7) == (1,)
 
 
+def test_sampling_rejects_bad_domain():
+    for n, r in ((-1, 2), (2, 0)):
+        with pytest.raises(ValueError, match="need n >= 0, r >= 1, d >= 0"):
+            sample_configuration(n, r, 1)
+
+
 def test_sampling_mean_matches_exhaustive_mean():
     sizes = [
         planar_matching_profile(perm).largest for perm in permutations((1, 2, 3, 4))

@@ -180,6 +180,36 @@ def test_rsk_round_trip_random(perm):
     assert rsk_inverse(p, q) == perm
 
 
+@given(
+    st.integers(0, 40).flatmap(lambda m: st.permutations(list(range(1, m + 1))))
+)
+@settings(max_examples=100, deadline=None)
+def test_rsk_round_trip_and_column_count_to_40(perm):
+    perm = tuple(perm)
+    p, q = rsk(perm)
+    assert rsk_inverse(p, q) == perm
+    assert p.column_count == planar_matching_profile(perm).largest
+
+
+def rsk_by_row_insert(perm):
+    """Reference RSK: fold the public `row_insert` over the permutation and
+    record the row of every created box."""
+    p = EMPTY_TABLEAU
+    q_rows = []
+    for i, x in enumerate(perm, start=1):
+        p, (row, _) = row_insert(p, x)
+        if row > len(q_rows):
+            q_rows.append([])
+        q_rows[row - 1].append(i)
+    return p, T(*q_rows)
+
+
+@pytest.mark.parametrize("m", range(0, 8))
+def test_rsk_matches_row_insert_reference(m):
+    for perm in iter_permutations(m):
+        assert rsk(perm) == rsk_by_row_insert(perm)
+
+
 # ----------------------------------------------------------- block conditions
 
 

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from planarcount import verify
 from planarcount.verify import (
     METHODS,
     VerificationReport,
@@ -14,7 +15,12 @@ from planarcount.verify import (
     verify_subgraph_identity,
     verify_walk_scaling,
 )
-from planarcount.walks import BudgetExceeded, Walk, signed_walk_cost
+from planarcount.walks import (
+    BudgetExceeded,
+    Walk,
+    nonprofile_involution,
+    signed_walk_cost,
+)
 
 
 def test_matching_identity_examples():
@@ -120,6 +126,54 @@ def test_involution_audit_catches_broken_map():
     report = audit_involution(2, 1, 2, "second", involution=swap_to_first)
     assert not report.passed
     assert report.witness is not None
+
+
+def test_involution_audit_reports_a_raise_on_images():
+    # the true map on the lexicographically smaller walk of every pair, a
+    # raise on the larger one: the smaller walk's image cannot be mapped back
+    def raises_on_images(w, r):
+        image = nonprofile_involution(w, r)
+        if (w.pos, w.neg) > (image.pos, image.neg):
+            raise ValueError("refusing an image")
+        return image
+
+    report = audit_involution(2, 1, 2, "second", involution=raises_on_images)
+    assert not report.passed
+    assert report.witness is not None
+    half = report.methods["domain_size"] // 2
+    assert half > 0
+    assert report.methods["self_inverse_failures"] == half
+    assert report.methods["closure_failures"] == half
+
+
+def test_bijection_audit_catches_a_wrong_rsk_pair():
+    # swapping P and Q of one lift gives the pair of its inverse: the round
+    # trip fails and the pair map stops being injective wherever the lift
+    # (largest planar matching 2) is bounded
+    real_rsk = verify.rsk
+    bad_lift = (2, 3, 1)
+
+    def wrong_rsk(perm):
+        p, q = real_rsk(perm)
+        return (q, p) if tuple(perm) == bad_lift else (p, q)
+
+    verify.rsk = wrong_rsk
+    verify._lift_facts.cache_clear()
+    try:
+        for d in range(4):
+            report = audit_bijections(3, 1, d)
+            if d < 2:
+                assert report.passed, d
+            else:
+                assert not report.passed, d
+                assert report.methods["failures"] >= 2
+                assert report.witness == (
+                    "configuration (2, 3, 1): insertion round trip failed"
+                )
+    finally:
+        verify.rsk = real_rsk
+        verify._lift_facts.cache_clear()
+    assert all(audit_bijections(3, 1, d).passed for d in range(4))
 
 
 def test_bijection_audit_examples():
