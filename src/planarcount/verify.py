@@ -276,16 +276,22 @@ def verify_gessel_identity(
 # ---------------------------------------------------------------- audits
 
 
-class _LiftFacts(NamedTuple):
-    """What the bijection audit needs to know about one multigraph lift that
-    does not depend on d: its largest planar matching, RSK pair (None when
-    the shapes differ) and column count, profile halves, and the failure
-    notes of the RSK checks and of the profile-walk checks."""
+@lru_cache(maxsize=None)
+def _lifted_configurations(n: int, r: int) -> tuple:
+    """(configuration, largest matching size) for every multigraph."""
+    out = []
+    for g in enumerate_multigraphs(n, r):
+        lift = canonical_lift(g)
+        out.append((lift, planar_matching_profile(lift).largest))
+    return tuple(out)
 
-    lift: tuple[int, ...]
-    largest: int
+
+class _LiftFacts(NamedTuple):
+    """What the bijection audit needs to know about one lift that does not
+    depend on d: its RSK pair (None when the shapes differ), profile halves,
+    and the failure notes of the RSK checks and of the profile-walk checks."""
+
     pair: tuple | None
-    columns: int
     left: tuple[int, ...]
     right: tuple[int, ...]
     rsk_notes: tuple[str, ...]
@@ -293,60 +299,49 @@ class _LiftFacts(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _lift_facts(n: int, r: int) -> tuple[_LiftFacts, ...]:
-    """The lift side of `audit_bijections` for every multigraph, once per
-    (n, r).  Equal tableaux are interned to one object."""
-    m = n * r
-    interned: dict = {}
-    out = []
-    for g in enumerate_multigraphs(n, r):
-        lift = canonical_lift(g)
-        p, q = rsk(lift)
-        p = interned.setdefault(p.rows, p)
-        q = interned.setdefault(q.rows, q)
-        pair = None
-        rsk_notes = []
-        if p.shape != q.shape:
-            rsk_notes.append(f"configuration {lift}: unequal shapes")
-        else:
-            pair = (p, q)
-            if m and not (
-                blocks_strictly_below(p, n, r) and blocks_strictly_below(q, n, r)
-            ):
-                rsk_notes.append(
-                    f"configuration {lift}: image lacks strict block descents"
-                )
-            if rsk_inverse(p, q) != lift:
-                rsk_notes.append(f"configuration {lift}: insertion round trip failed")
-        # the profile checks read only the steps, so the walk's d is immaterial
-        w = profile_walk(lift)
-        profile_notes = []
-        if not in_restricted_family(w, r, "matching"):
-            profile_notes.append(
-                f"profile walk {w.to_text()} violates the block conditions"
+def _interned(t):
+    """One shared object per distinct tableau."""
+    return t
+
+
+@lru_cache(maxsize=None)
+def _lift_facts(lift: tuple[int, ...], n: int, r: int) -> _LiftFacts:
+    """The lift side of `audit_bijections` for one configuration, computed
+    the first time some d bounds it and reused at every later d."""
+    p, q = rsk(lift)
+    p, q = _interned(p), _interned(q)
+    pair = None
+    rsk_notes = []
+    if p.shape != q.shape:
+        rsk_notes.append(f"configuration {lift}: unequal shapes")
+    else:
+        pair = (p, q)
+        if n * r and not (
+            blocks_strictly_below(p, n, r) and blocks_strictly_below(q, n, r)
+        ):
+            rsk_notes.append(
+                f"configuration {lift}: image lacks strict block descents"
             )
-        if not is_profile_walk(w):
-            profile_notes.append(
-                f"profile walk {w.to_text()} fails its own characterization"
-            )
-        back = crossing_pairing(w)
-        if not back.is_complete or back.as_permutation() != lift:
-            profile_notes.append(
-                f"crossing pairing does not invert the profile of {lift}"
-            )
-        out.append(
-            _LiftFacts(
-                lift=lift,
-                largest=planar_matching_profile(lift).largest,
-                pair=pair,
-                columns=p.column_count,
-                left=w.pos,
-                right=w.neg,
-                rsk_notes=tuple(rsk_notes),
-                profile_notes=tuple(profile_notes),
-            )
+        if rsk_inverse(p, q) != lift:
+            rsk_notes.append(f"configuration {lift}: insertion round trip failed")
+    # the profile checks read only the steps, so the walk's d is immaterial
+    prof = planar_matching_profile(lift)
+    w = Walk(d=max(1, prof.largest), pos=prof.left, neg=prof.right)
+    profile_notes = []
+    if not in_restricted_family(w, r, "matching"):
+        profile_notes.append(
+            f"profile walk {w.to_text()} violates the block conditions"
         )
-    return tuple(out)
+    if not is_profile_walk(w):
+        profile_notes.append(
+            f"profile walk {w.to_text()} fails its own characterization"
+        )
+    back = crossing_pairing(w)
+    if not back.is_complete or back.as_permutation() != lift:
+        profile_notes.append(f"crossing pairing does not invert the profile of {lift}")
+    return _LiftFacts(
+        pair, prof.left, prof.right, tuple(rsk_notes), tuple(profile_notes)
+    )
 
 
 def _restricted_walk_family(n: int, r: int, d: int):
@@ -479,9 +474,10 @@ def audit_bijections(
        exactly onto the restricted walks that look like prefix profiles, with
        the crossing pairing as two-sided inverse.
 
-    The lift side does not depend on d and comes from `_lift_facts`, once per
-    (n, r); its checks are replayed for every lift bounded by d.  The other
-    side (tableaux, region walks, profile walks) is enumerated afresh here.
+    The lift side does not depend on d: `_lift_facts` computes it once per
+    lift, the first time some d bounds that lift, and its checks are replayed
+    for every bounded lift.  The other side (tableaux, region walks, profile
+    walks) is enumerated afresh here.
     """
     started = time.perf_counter()
     check_count_params(n, r, d)
@@ -499,16 +495,20 @@ def audit_bijections(
         if witness is None:
             witness = why
 
-    bounded = [facts for facts in _lift_facts(n, r) if facts.largest <= d]
+    bounded = [
+        (lift, _lift_facts(lift, n, r))
+        for lift, size in _lifted_configurations(n, r)
+        if size <= d
+    ]
 
     # --- RSK image characterization
     pairs_from_graphs = set()
-    for facts in bounded:
+    for lift, facts in bounded:
         if facts.pair is None:
             note(facts.rsk_notes[0])
             continue
-        if facts.columns > d:
-            note(f"configuration {facts.lift}: more than {d} columns")
+        if facts.pair[0].column_count > d:
+            note(f"configuration {lift}: more than {d} columns")
         for why in facts.rsk_notes:
             note(why)
         pairs_from_graphs.add(facts.pair)
@@ -550,7 +550,7 @@ def audit_bijections(
 
     # --- profile walks
     images = set()
-    for facts in bounded:
+    for _, facts in bounded:
         images.add(Walk(d=d, pos=facts.left, neg=facts.right))
         for why in facts.profile_notes:
             note(why)

@@ -176,6 +176,17 @@ def test_bijection_audit_catches_a_wrong_rsk_pair():
     assert all(audit_bijections(3, 1, d).passed for d in range(4))
 
 
+def test_bijection_audit_works_only_on_bounded_lifts():
+    # a single-d call computes lift facts for the lifts bounded by d alone;
+    # a larger d then adds the newly bounded ones
+    verify._lift_facts.cache_clear()
+    for d, bounded in ((1, 1), (2, 14), (4, 24)):
+        report = audit_bijections(4, 1, d)
+        assert report.passed
+        assert report.methods["configurations"] == bounded
+        assert verify._lift_facts.cache_info().currsize == bounded
+
+
 def test_bijection_audit_examples():
     report = audit_bijections(2, 2, 2)
     assert report.passed
