@@ -72,47 +72,46 @@ class MatchingProfile(NamedTuple):
     largest: int
 
 
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every tuple of `parts` nonnegative ints summing to `total`, in
+    descending lexicographic order."""
+    if parts == 1:
+        return [(total,)]
+    return [
+        (x,) + rest
+        for x in range(total, -1, -1)
+        for rest in _compositions(total - x, parts - 1)
+    ]
+
+
 def enumerate_multigraphs(n: int, r: int) -> Iterator[Multigraph]:
     """Every n x n nonnegative matrix with all row/column sums r, exactly once.
 
-    Rows are filled one cell at a time, each cell taking its largest feasible
-    value first, with the remaining column sums pruning dead branches.  The
+    Rows are taken from the compositions of r into n parts, largest first,
+    one generator frame per row.  A row must fit under the remaining column
+    sums; any remainder with the right total is reachable, so there are no
+    dead branches, and the last row is forced to be the remainder.  The
     stream is therefore ordered by descending flattened matrix.  For n = 0
     the one multigraph is the empty one.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    col_rem = [r] * n
-    done: list[tuple[int, ...]] = []
+    if n == 0:
+        yield Multigraph(n=0, r=r, rows=())
+        return
+    rows = _compositions(r, n)
 
-    def fill_rows(i: int) -> Iterator[Multigraph]:
-        if i == n:
-            yield Multigraph(n=n, r=r, rows=tuple(done))
+    def fill(i: int, done: tuple, col_rem: tuple[int, ...]) -> Iterator[Multigraph]:
+        if i == n - 1:
+            yield Multigraph(n=n, r=r, rows=done + (col_rem,))
             return
-        row: list[int] = []
+        for row in rows:
+            if all(x <= c for x, c in zip(row, col_rem)):
+                yield from fill(
+                    i + 1, done + (row,), tuple(c - x for x, c in zip(row, col_rem))
+                )
 
-        def fill_cells(j: int, row_rem: int) -> Iterator[Multigraph]:
-            if j == n:
-                if row_rem == 0:
-                    done.append(tuple(row))
-                    yield from fill_rows(i + 1)
-                    done.pop()
-                return
-            # a cell may not exceed what its row or column can still absorb,
-            # and the columns to its right must absorb the rest of the row
-            tail_cap = sum(col_rem[j + 1 :])
-            hi = min(row_rem, col_rem[j])
-            lo = max(0, row_rem - tail_cap)
-            for x in range(hi, lo - 1, -1):
-                row.append(x)
-                col_rem[j] -= x
-                yield from fill_cells(j + 1, row_rem - x)
-                col_rem[j] += x
-                row.pop()
-
-        yield from fill_cells(0, r)
-
-    yield from fill_rows(0)
+    yield from fill(0, (), (r,) * n)
 
 
 def canonical_lift(g: Multigraph) -> tuple[int, ...]:

@@ -43,6 +43,8 @@ from .tableaux import (
 )
 from .walks import (
     Walk,
+    _join_halves,
+    _restricted_halves,
     all_walks_cost,
     count_all_walks_signed,
     crossing_pairing,
@@ -51,12 +53,10 @@ from .walks import (
     is_profile_walk,
     iter_profile_walks,
     iter_region_walks,
-    iter_restricted_walks,
     iter_toeplitz,
     nonprofile_involution,
     offregion_involution,
     profile_violations,
-    profile_walk,
     require_budget,
     reverse_negative_half,
     signed_walk_cost,
@@ -345,9 +345,12 @@ def _lift_facts(lift: tuple[int, ...], n: int, r: int) -> _LiftFacts:
 
 
 def _restricted_walk_family(n: int, r: int, d: int):
-    """(walk, sign of endpoint permutation) over all Toeplitz endpoints."""
-    for pi, _, sign in iter_toeplitz(d, max_l1=2 * n * r):
-        for w in iter_restricted_walks(n, r, d, pi, "matching"):
+    """(walk, sign of endpoint permutation) over all Toeplitz endpoints, in
+    `iter_toeplitz` order: one table of half-walks, joined at every endpoint
+    as `iter_restricted_walks` joins it at one."""
+    halves, by_hist = _restricted_halves(n, r, d, "matching")
+    for _, point, sign in iter_toeplitz(d, max_l1=2 * n * r):
+        for w in _join_halves(halves, by_hist, d, point):
             yield w, sign
 
 
@@ -372,7 +375,7 @@ def audit_involution(
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
     check_count_params(n, r, d)
-    # the audit still enumerates walks per Toeplitz endpoint, all d! of them
+    # one table of half-walks, joined at each of the d! Toeplitz endpoints
     half_walks = signed_walk_cost(n, r, d, "matching", "enumerate")
     require_budget((2 * half_walks + factorial(d)) ** 2, budget, "involution audit")
 
@@ -541,9 +544,19 @@ def audit_bijections(
             f"walk sets differ: {len(walks_from_pairs)} from pairs vs "
             f"{len(region_walks)} enumerated"
         )
+    # a region walk's halves are column words, and many walks share one:
+    # each distinct word is read into its tableau once
+    tableau_of = {}
+
+    def tableau(word):
+        t = tableau_of.get(word)
+        if t is None:
+            t = tableau_of[word] = tableau_from_column_word(word, d)
+        return t
+
     for w in region_walks:
-        p = tableau_from_column_word(w.pos, w.d)
-        q = tableau_from_column_word(w.neg[::-1], w.d)
+        p = tableau(w.pos)
+        q = tableau(w.neg[::-1])
         if m and (p, q) not in pairs_direct:
             note(f"region walk {w.to_text()} has no matching pair")
             break
@@ -565,10 +578,12 @@ def audit_bijections(
         if not config.is_complete:
             note(f"profile walk {w.to_text()} is not closed")
             continue
-        lift = config.as_permutation()
-        if planar_matching_profile(lift).largest > d:
+        prof = planar_matching_profile(config.as_permutation())
+        if prof.largest > d:
             note(f"profile walk {w.to_text()} maps outside the bounded family")
-        if profile_walk(lift, d=w.d) != w:
+            continue
+        # the profile walk of the lift, as `profile_walk` builds it
+        if Walk(d=w.d, pos=prof.left, neg=prof.right) != w:
             note(f"profile round trip failed for {w.to_text()}")
     if direct_walks != images:
         note(

@@ -243,51 +243,57 @@ def _block_choices(d: int, r: int, kind: str) -> tuple:
     return tuple(out)
 
 
+def _restricted_halves(n: int, r: int, d: int, kind: str):
+    """The blocks**n half-walks of one (n, r, d, kind), built one block at a
+    time: every half with its direction histogram, in lexicographic order
+    of its block sequence, and the same halves grouped by histogram, each
+    group in that order.  Positive and negative halves obey the same block
+    condition, so one table serves both sides of every endpoint."""
+    blocks = _block_choices(d, r, kind)
+    halves = [((), (0,) * d)]
+    for _ in range(n):
+        halves = [
+            (values + block, tuple(h + c for h, c in zip(hist, counts)))
+            for values, hist in halves
+            for block, counts in blocks
+        ]
+    by_hist: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for values, hist in halves:
+        by_hist.setdefault(hist, []).append(values)
+    return halves, by_hist
+
+
+def _join_halves(halves, by_hist, d: int, target) -> Iterator[Walk]:
+    """The walks to `target` from one table of `_restricted_halves`: every
+    positive half with histogram h, followed by every negative half with
+    histogram h - target.  A difference with a negative entry is no
+    histogram and finds no group."""
+    partners = {
+        hist: by_hist.get(tuple(h - t for h, t in zip(hist, target)))
+        for hist in by_hist
+    }
+    for pos, hist in halves:
+        negs = partners[hist]
+        if negs:
+            for neg in negs:
+                yield Walk(d=d, pos=pos, neg=neg)
+
+
 def iter_restricted_walks(n: int, r: int, d: int, pi, kind: str = "matching"):
     """All representative walks of length 2rn ending at the Toeplitz point of
     pi whose blocks satisfy the `kind` condition on both halves.
 
     Positive halves are produced in lexicographic order of their block
-    sequence, then negative halves likewise.
+    sequence, then negative halves likewise.  The walks are joined from one
+    table of half-walks (`_restricted_halves`): each positive half with
+    histogram h meets the negative halves with histogram h - T(pi), so no
+    negative half is searched for twice.
     """
+    check_count_params(n, r, d)
     target = toeplitz_point(pi)
     if len(target) != d:
         raise ValueError(f"endpoint permutation must have length {d}")
-    blocks = _block_choices(d, r, kind)
-    pos_acc: list[tuple[int, ...]] = []
-    neg_acc: list[tuple[int, ...]] = []
-
-    per_direction_cap = r if kind == "matching" else 1
-
-    def fill_neg(i: int, remaining: tuple[int, ...]) -> Iterator[Walk]:
-        if i == n:
-            yield Walk(
-                d=d,
-                pos=tuple(v for b in pos_acc for v in b),
-                neg=tuple(v for b in neg_acc for v in b),
-            )
-            return
-        cap = (n - i - 1) * per_direction_cap
-        for values, counts in blocks:
-            nxt = tuple(a - b for a, b in zip(remaining, counts))
-            if any(x < 0 or x > cap for x in nxt):
-                continue
-            neg_acc.append(values)
-            yield from fill_neg(i + 1, nxt)
-            neg_acc.pop()
-
-    def fill_pos(i: int, hist: tuple[int, ...]) -> Iterator[Walk]:
-        if i == n:
-            needed = tuple(h - t for h, t in zip(hist, target))
-            if all(x >= 0 for x in needed):
-                yield from fill_neg(0, needed)
-            return
-        for values, counts in blocks:
-            pos_acc.append(values)
-            yield from fill_pos(i + 1, tuple(a + b for a, b in zip(hist, counts)))
-            pos_acc.pop()
-
-    yield from fill_pos(0, (0,) * d)
+    yield from _join_halves(*_restricted_halves(n, r, d, kind), d, target)
 
 
 # ----------------------------------------------------- signed walk counting

@@ -97,6 +97,28 @@ def test_enumeration_matches_raw_exhaustion(n, r):
     )
 
 
+def compositions(total, parts):
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_enumeration_order_matches_product_reference(n, r):
+    # every choice of n rows among the compositions of r, kept when the
+    # column sums are r too, in descending order of the flattened matrix
+    expected = sorted(
+        (
+            rows
+            for rows in product(compositions(r, n), repeat=n)
+            if all(sum(row[j] for row in rows) == r for j in range(n))
+        ),
+        reverse=True,
+    )
+    assert [g.rows for g in enumerate_multigraphs(n, r)] == expected
+    if (n, r) == (4, 2):
+        assert len(expected) == 282
+
+
 def test_zero_vertices_is_the_empty_multigraph():
     for r in (1, 2):
         assert list(enumerate_multigraphs(0, r)) == [Multigraph(n=0, r=r, rows=())]

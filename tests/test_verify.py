@@ -17,7 +17,10 @@ from planarcount.verify import (
 )
 from planarcount.walks import (
     BudgetExceeded,
+    QuasiConfiguration,
     Walk,
+    iter_restricted_walks,
+    iter_toeplitz,
     nonprofile_involution,
     signed_walk_cost,
 )
@@ -185,6 +188,67 @@ def test_bijection_audit_works_only_on_bounded_lifts():
         assert report.passed
         assert report.methods["configurations"] == bounded
         assert verify._lift_facts.cache_info().currsize == bounded
+
+
+@pytest.mark.parametrize(
+    "n,r", [(0, 1), (1, 1), (2, 1), (3, 1), (5, 1), (2, 2), (1, 3), (1, 5)]
+)
+def test_restricted_walk_family_joins_every_endpoint_in_order(n, r):
+    for d in range(4):
+        expected = [
+            (w, sign)
+            for pi, _, sign in iter_toeplitz(d, max_l1=2 * n * r)
+            for w in iter_restricted_walks(n, r, d, pi, "matching")
+        ]
+        assert list(verify._restricted_walk_family(n, r, d)) == expected
+
+
+def test_bijection_audit_reads_each_column_word_once():
+    # the 24 region walks of (4, 1, 4) have 10 distinct halves, one per
+    # standard tableau of [4]; the same words appear as positive halves and
+    # as reversed negative halves
+    real = verify.tableau_from_column_word
+    words = []
+
+    def counting(word, d):
+        words.append(tuple(word))
+        return real(word, d)
+
+    verify.tableau_from_column_word = counting
+    try:
+        report = audit_bijections(4, 1, 4)
+    finally:
+        verify.tableau_from_column_word = real
+    assert report.passed and report.methods["region_walks"] == 24
+    assert len(words) == len(set(words)) == 10
+
+
+def test_bijection_audit_reports_a_profile_walk_mapped_out_of_bounds():
+    # with the identity pairing for 111|111, the one profile walk at
+    # (3, 1, 1) lifts to (1, 2, 3), whose largest planar matching is 3 > d:
+    # the audit notes it instead of raising from the profile round trip
+    real = verify.crossing_pairing
+    flat = Walk.from_text("111|111")
+
+    def identity_for_flat(w):
+        if w == flat:
+            return QuasiConfiguration(m=3, pairs=((1, 1), (2, 2), (3, 3)))
+        return real(w)
+
+    verify.crossing_pairing = identity_for_flat
+    verify._lift_facts.cache_clear()
+    try:
+        report = audit_bijections(3, 1, 1)
+    finally:
+        verify.crossing_pairing = real
+        verify._lift_facts.cache_clear()
+    assert not report.passed
+    # the lift side notes the broken inverse, the walk side the bound
+    assert report.methods["failures"] == 2
+    assert report.witness == (
+        "crossing pairing does not invert the profile of (3, 2, 1)"
+    )
+    assert audit_bijections(3, 1, 1).passed
 
 
 def test_bijection_audit_examples():

@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import comb
 
 import pytest
@@ -151,6 +151,52 @@ def test_enumerated_walks_against_raw_filter(n, r, d):
             (w.pos, w.neg) for w in iter_restricted_walks(n, r, d, pi, "matching")
         )
         assert got == expected
+
+
+def reference_restricted_walks(n, r, d, kind):
+    """Toeplitz pi -> restricted walks ending at T(pi), in order, from every
+    pair of block sequences taken by `itertools.product`.  A histogram is
+    packed into one int in base 2(rn + d) + 1, so the difference of two
+    codes is the code of the endpoint, digit by digit."""
+    blocks = _block_choices(d, r, kind)
+    base = 2 * (n * r + d) + 1
+    halves = []
+    for seq in product(blocks, repeat=n):
+        values = tuple(v for block, _ in seq for v in block)
+        hist = [sum(counts[j] for _, counts in seq) for j in range(d)]
+        halves.append((values, sum(h * base**j for j, h in enumerate(hist))))
+    codes = [code for _, code in halves]
+    points = {
+        sum(t * base**j for j, t in enumerate(point)): pi
+        for pi, point, _ in iter_toeplitz(d)
+    }
+    walks = {pi: [] for pi in points.values()}
+    for pos, code in halves:
+        hits = map(points.__contains__, map(code.__sub__, codes))
+        for neg, neg_code in compress(halves, hits):
+            walks[points[code - neg_code]].append(Walk(d=d, pos=pos, neg=neg))
+    return walks
+
+
+@pytest.mark.parametrize("kind", ["matching", "subgraph"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_restricted_walks_match_product_reference_in_order(r, kind):
+    # rn <= 6 and d <= 4, but for (6, 1, 4): its 2.8 million walks would
+    # take about 10 s per kind here
+    for n in range(6 // r + 1):
+        for d in range(5):
+            if (n * r, d) == (6, 4):
+                continue
+            expected = reference_restricted_walks(n, r, d, kind)
+            for pi, _, _ in iter_toeplitz(d):
+                got = list(iter_restricted_walks(n, r, d, pi, kind))
+                assert got == expected[pi], (n, r, d, pi)
+
+
+def test_restricted_walks_validate_params():
+    for args in ((-1, 1, 1, (1,)), (2, 0, 1, (1,))):
+        with pytest.raises(ValueError, match="need n >= 0, r >= 1, d >= 0"):
+            list(iter_restricted_walks(*args))
 
 
 # ------------------------------------------------------------- signed sums
