@@ -30,6 +30,7 @@ from .tableaux import (
     column_word,
     count_tableau_pairs,
     enumerate_tableaux,
+    iter_block_tableaux,
     pair_walk,
     row_insert,
     rsk,
@@ -60,6 +61,7 @@ from .walks import (
     is_toeplitz_point,
     iter_profile_walks,
     iter_region_walks,
+    iter_restricted_family,
     iter_restricted_walks,
     iter_toeplitz,
     nonprofile_involution,

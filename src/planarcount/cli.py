@@ -11,7 +11,9 @@ Input grammars (the only accepted forms):
   walk         positive steps | negative steps, compact digits when all
                directions are single digits (111122|112121), otherwise
                comma separated (1,2,11|3,1)
-  tableau      row list:  [[1,3],[2],[4]]
+
+`demo rsk` prints its tableaux as row lists, [[1,3],[2],[4]]; no subcommand
+reads a tableau.
 
 JSON output has a fixed key order and renders every count as a decimal
 string so arbitrarily large values survive 53-bit consumers.

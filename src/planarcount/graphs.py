@@ -64,6 +64,19 @@ def check_count_params(n: int, r: int, d: int) -> None:
         raise ValueError("need n >= 0, r >= 1, d >= 0")
 
 
+def check_kind(kind: str) -> None:
+    """The two statistics counted: largest planar matching or subgraph."""
+    if kind not in ("matching", "subgraph"):
+        raise ValueError(f"unknown kind {kind!r}")
+
+
+def check_length_params(m: int, d: int) -> None:
+    """The parameter domain of the counts over permutations of [m] and
+    walks of length 2m in Z^d."""
+    if m < 0 or d < 0:
+        raise ValueError("need m >= 0 and d >= 0")
+
+
 class MatchingProfile(NamedTuple):
     """Per-node largest planar matching sizes and their maximum."""
 
@@ -94,8 +107,7 @@ def enumerate_multigraphs(n: int, r: int) -> Iterator[Multigraph]:
     stream is therefore ordered by descending flattened matrix.  For n = 0
     the one multigraph is the empty one.
     """
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
+    check_count_params(n, r, 0)
     if n == 0:
         yield Multigraph(n=0, r=r, rows=())
         return
@@ -233,8 +245,7 @@ def _lis_histogram(m: int) -> tuple[int, ...]:
 def count_bounded_lis(m: int, d: int) -> int:
     """Number of permutations of [m] with no increasing subsequence longer
     than d, by exhaustive enumeration.  Oracle for everything else."""
-    if m < 0 or d < 0:
-        raise ValueError("need m >= 0 and d >= 0")
+    check_length_params(m, d)
     return sum(_lis_histogram(m)[: d + 1])
 
 

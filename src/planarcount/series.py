@@ -1,9 +1,10 @@
 """Truncated power series with exact rational coefficients.
 
-Just enough arithmetic for determinants of matrices of modified Bessel
-series: addition, multiplication modulo x^(M+1), and exact coefficient
-access.  All coefficients are `fractions.Fraction`, so values are always in
-lowest terms with positive denominators.
+Series support addition, negation, multiplication modulo x^(M+1) and exact
+coefficient access.  All coefficients are `fractions.Fraction`, so values
+are always in lowest terms with positive denominators.  The determinant of
+a matrix of modified Bessel series does not use that arithmetic: it works
+on rows scaled to integer coefficient dicts (see `series_determinant`).
 """
 
 from __future__ import annotations

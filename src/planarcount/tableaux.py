@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
-from .graphs import check_count_params
+from .graphs import check_count_params, check_kind, check_length_params
 from .perms import check_permutation
 
 
@@ -211,8 +211,7 @@ def enumerate_tableaux(m: int, d: int) -> Iterator[YoungTableau]:
     filled by backtracking: value k+1 goes into any cell whose left and upper
     neighbours are already filled.
     """
-    if m < 0 or d < 0:
-        raise ValueError("need m >= 0 and d >= 0")
+    check_length_params(m, d)
     if m == 0:
         yield EMPTY_TABLEAU
         return
@@ -239,15 +238,16 @@ def enumerate_tableaux(m: int, d: int) -> Iterator[YoungTableau]:
         yield from fill(1)
 
 
-@lru_cache(maxsize=None)
-def _condition_counts_by_shape(n: int, r: int, d: int, kind: str) -> dict:
-    check = {"matching": blocks_strictly_below, "subgraph": blocks_weakly_above}[kind]
-    counts: dict[tuple[int, ...], int] = {}
+def iter_block_tableaux(n: int, r: int, d: int, kind: str) -> Iterator[YoungTableau]:
+    """The tableaux of `enumerate_tableaux(rn, d)`, in its order, that satisfy
+    the block condition of `kind`: strict block descents for "matching", weak
+    block ascents for "subgraph".  For rn = 0 the empty tableau meets both."""
+    check_count_params(n, r, d)
+    check_kind(kind)
+    check = blocks_strictly_below if kind == "matching" else blocks_weakly_above
     for t in enumerate_tableaux(n * r, d):
-        if n * r > 0 and not check(t, n, r):
-            continue
-        counts[t.shape] = counts.get(t.shape, 0) + 1
-    return counts
+        if check(t, n, r):
+            yield t
 
 
 def count_tableau_pairs(n: int, r: int, d: int, kind: str = "matching") -> int:
@@ -260,8 +260,8 @@ def count_tableau_pairs(n: int, r: int, d: int, kind: str = "matching") -> int:
     The two members of a pair are constrained independently given the shape,
     so the total is the sum over shapes of the squared per-shape count.
     """
-    check_count_params(n, r, d)
-    return sum(c * c for c in _condition_counts_by_shape(n, r, d, kind).values())
+    shapes = Counter(t.shape for t in iter_block_tableaux(n, r, d, kind))
+    return sum(c * c for c in shapes.values())
 
 
 def tableau_pairs_cost(n: int, r: int) -> int:

@@ -23,6 +23,8 @@ from typing import Callable, NamedTuple
 from .graphs import (
     canonical_lift,
     check_count_params,
+    check_kind,
+    check_length_params,
     count_bounded_lis,
     count_bounded_matching,
     count_bounded_subgraph,
@@ -34,7 +36,7 @@ from .series import bessel_series, determinant_cost, series_determinant
 from .tableaux import (
     blocks_strictly_below,
     count_tableau_pairs,
-    enumerate_tableaux,
+    iter_block_tableaux,
     pair_walk,
     rsk,
     rsk_inverse,
@@ -43,8 +45,6 @@ from .tableaux import (
 )
 from .walks import (
     Walk,
-    _join_halves,
-    _restricted_halves,
     all_walks_cost,
     count_all_walks_signed,
     crossing_pairing,
@@ -53,10 +53,11 @@ from .walks import (
     is_profile_walk,
     iter_profile_walks,
     iter_region_walks,
-    iter_toeplitz,
+    iter_restricted_family,
     nonprofile_involution,
     offregion_involution,
     profile_violations,
+    profile_walk,
     require_budget,
     reverse_negative_half,
     signed_walk_cost,
@@ -109,8 +110,9 @@ def count_graphs(
     """Graphs with largest planar matching (or subgraph) <= d, counted by
     one method of METHODS: validate, refuse on cost, then count."""
     check_count_params(n, r, d)
-    if method not in METHODS or kind not in ("matching", "subgraph"):
-        raise ValueError(f"unknown method {method!r} or kind {kind!r}")
+    check_kind(kind)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     entry = METHODS[method]
     require_budget(entry.cost(n, r, d, kind), budget, f"{method} count")
     return entry.count(n, r, d, kind)
@@ -160,6 +162,12 @@ def _check_threads(threads: int) -> None:
         raise ValueError("need threads >= 1")
 
 
+def _report(identity, params, methods, passed, witness, started) -> VerificationReport:
+    """The report of a check that began at perf_counter() time `started`."""
+    elapsed_ms = (time.perf_counter() - started) * 1000
+    return VerificationReport(identity, params, methods, passed, witness, elapsed_ms)
+
+
 def _identity_report(identity, params, methods, started) -> VerificationReport:
     values = list(methods.values())
     passed = all(v == values[0] for v in values)
@@ -167,14 +175,7 @@ def _identity_report(identity, params, methods, started) -> VerificationReport:
     if not passed:
         listing = ", ".join(f"{k}={v}" for k, v in methods.items())
         witness = f"method disagreement: {listing}"
-    return VerificationReport(
-        identity=identity,
-        params=params,
-        methods=methods,
-        passed=passed,
-        witness=witness,
-        elapsed_ms=(time.perf_counter() - started) * 1000,
-    )
+    return _report(identity, params, methods, passed, witness, started)
 
 
 def _verify_identity(identity, n, r, d, kind, budget, threads) -> VerificationReport:
@@ -212,8 +213,7 @@ def verify_walk_scaling(
     number of permutations with bounded increasing subsequences."""
     _check_threads(threads)
     started = time.perf_counter()
-    if m < 0 or d < 0:
-        raise ValueError("need m >= 0 and d >= 0")
+    check_length_params(m, d)
     estimate = all_walks_cost(m, d) + factorial(m) + d**m
     require_budget(estimate, budget, "walk scaling")
     scale = comb(2 * m, m)
@@ -263,14 +263,8 @@ def verify_gessel_identity(
             f"coefficient of x^{2 * bad}: determinant gives {det_coeffs[bad]}, "
             f"permutation count gives {lis_coeffs[bad]}"
         )
-    return VerificationReport(
-        identity="gessel",
-        params={"d": d, "M": truncation},
-        methods=methods,
-        passed=passed,
-        witness=witness,
-        elapsed_ms=(time.perf_counter() - started) * 1000,
-    )
+    params = {"d": d, "M": truncation}
+    return _report("gessel", params, methods, passed, witness, started)
 
 
 # ---------------------------------------------------------------- audits
@@ -324,9 +318,7 @@ def _lift_facts(lift: tuple[int, ...], n: int, r: int) -> _LiftFacts:
             )
         if rsk_inverse(p, q) != lift:
             rsk_notes.append(f"configuration {lift}: insertion round trip failed")
-    # the profile checks read only the steps, so the walk's d is immaterial
-    prof = planar_matching_profile(lift)
-    w = Walk(d=max(1, prof.largest), pos=prof.left, neg=prof.right)
+    w = profile_walk(lift)
     profile_notes = []
     if not in_restricted_family(w, r, "matching"):
         profile_notes.append(
@@ -339,19 +331,7 @@ def _lift_facts(lift: tuple[int, ...], n: int, r: int) -> _LiftFacts:
     back = crossing_pairing(w)
     if not back.is_complete or back.as_permutation() != lift:
         profile_notes.append(f"crossing pairing does not invert the profile of {lift}")
-    return _LiftFacts(
-        pair, prof.left, prof.right, tuple(rsk_notes), tuple(profile_notes)
-    )
-
-
-def _restricted_walk_family(n: int, r: int, d: int):
-    """(walk, sign of endpoint permutation) over all Toeplitz endpoints, in
-    `iter_toeplitz` order: one table of half-walks, joined at every endpoint
-    as `iter_restricted_walks` joins it at one."""
-    halves, by_hist = _restricted_halves(n, r, d, "matching")
-    for _, point, sign in iter_toeplitz(d, max_l1=2 * n * r):
-        for w in _join_halves(halves, by_hist, d, point):
-            yield w, sign
+    return _LiftFacts(pair, w.pos, w.neg, tuple(rsk_notes), tuple(profile_notes))
 
 
 def audit_involution(
@@ -380,7 +360,7 @@ def audit_involution(
     require_budget((2 * half_walks + factorial(d)) ** 2, budget, "involution audit")
 
     domain: dict[Walk, int] = {}
-    for w, sign in _restricted_walk_family(n, r, d):
+    for w, sign in iter_restricted_family(n, r, d):
         if which == "second":
             if profile_violations(w):
                 domain[w] = sign
@@ -454,14 +434,8 @@ def audit_involution(
         and self_inverse_failures == 0
         and fixed_points == 0
     )
-    return VerificationReport(
-        identity=f"involution-{which}",
-        params={"n": n, "r": r, "d": d},
-        methods=methods,
-        passed=passed,
-        witness=witness,
-        elapsed_ms=(time.perf_counter() - started) * 1000,
-    )
+    params = {"n": n, "r": r, "d": d}
+    return _report(f"involution-{which}", params, methods, passed, witness, started)
 
 
 def audit_bijections(
@@ -519,9 +493,8 @@ def audit_bijections(
         note("tableau-pair map is not injective")
 
     by_shape: dict[tuple[int, ...], list] = {}
-    for t in enumerate_tableaux(m, d):
-        if m == 0 or blocks_strictly_below(t, n, r):
-            by_shape.setdefault(t.shape, []).append(t)
+    for t in iter_block_tableaux(n, r, d, "matching"):
+        by_shape.setdefault(t.shape, []).append(t)
     pairs_direct = {
         (p, q) for shape in by_shape for p in by_shape[shape] for q in by_shape[shape]
     }
@@ -600,11 +573,5 @@ def audit_bijections(
     }
     sizes = {len(bounded), len(pairs_direct), len(region_walks), len(direct_walks)}
     passed = failures == 0 and len(sizes) == 1
-    return VerificationReport(
-        identity="bijections",
-        params={"n": n, "r": r, "d": d},
-        methods=methods,
-        passed=passed,
-        witness=witness,
-        elapsed_ms=(time.perf_counter() - started) * 1000,
-    )
+    params = {"n": n, "r": r, "d": d}
+    return _report("bijections", params, methods, passed, witness, started)

@@ -35,7 +35,12 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .graphs import check_count_params, planar_matching_profile
+from .graphs import (
+    check_count_params,
+    check_kind,
+    check_length_params,
+    planar_matching_profile,
+)
 from .perms import check_permutation, perm_sign
 
 
@@ -204,6 +209,7 @@ def strictly_increasing_blocks(values, r: int) -> bool:
 def in_restricted_family(w: Walk, r: int, kind: str = "matching") -> bool:
     """Representative-walk block test: weakly decreasing values per block for
     "matching", strictly increasing for "subgraph", on both halves."""
+    check_kind(kind)
     if len(w.pos) != len(w.neg) or len(w.pos) % r:
         return False
     check = {
@@ -227,13 +233,12 @@ def in_reversed_family(w: Walk, r: int) -> bool:
 def _block_choices(d: int, r: int, kind: str) -> tuple:
     """All admissible blocks as (values, direction-count vector), in
     lexicographic order of the value tuple."""
+    check_kind(kind)
     if kind == "matching":
         raw = [tuple(sorted(c, reverse=True)) for c in
                combinations_with_replacement(range(1, d + 1), r)]
-    elif kind == "subgraph":
-        raw = [c for c in combinations(range(1, d + 1), r)]
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        raw = [c for c in combinations(range(1, d + 1), r)]
     out = []
     for values in sorted(raw):
         counts = [0] * d
@@ -294,6 +299,17 @@ def iter_restricted_walks(n: int, r: int, d: int, pi, kind: str = "matching"):
     if len(target) != d:
         raise ValueError(f"endpoint permutation must have length {d}")
     yield from _join_halves(*_restricted_halves(n, r, d, kind), d, target)
+
+
+def iter_restricted_family(n: int, r: int, d: int) -> Iterator[tuple[Walk, int]]:
+    """(walk, sign of endpoint permutation) for the matching-kind walks of
+    `iter_restricted_walks` over all Toeplitz endpoints, in `iter_toeplitz`
+    order: one table of half-walks, joined at every endpoint."""
+    check_count_params(n, r, d)
+    halves, by_hist = _restricted_halves(n, r, d, "matching")
+    for _, point, sign in iter_toeplitz(d, max_l1=2 * n * r):
+        for w in _join_halves(halves, by_hist, d, point):
+            yield w, sign
 
 
 # ----------------------------------------------------- signed walk counting
@@ -424,12 +440,8 @@ def signed_walk_cost(n: int, r: int, d: int, kind: str, counter: str) -> int:
     blocks**n half-walks for "enumerate"; for "dp", n steps that each add
     every block to every shape, where a step starts from at most
     min(blocks**k, C(rn+d, d)) shapes after k earlier steps."""
-    if kind == "matching":
-        blocks = comb(d + r - 1, r)
-    elif kind == "subgraph":
-        blocks = comb(d, r)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    check_kind(kind)
+    blocks = comb(d + r - 1, r) if kind == "matching" else comb(d, r)
     if counter == "enumerate":
         return blocks**n
     if counter == "dp":
@@ -487,8 +499,7 @@ def count_all_walks_signed(m: int, d: int) -> int:
     the count is the number of closed walks from delta that keep the entries
     strictly increasing.  Shapes farther from delta (in l1) than the steps
     left cannot return and are dropped."""
-    if m < 0 or d < 0:
-        raise ValueError("need m >= 0 and d >= 0")
+    check_length_params(m, d)
     delta = tuple(range(d))
     shapes: dict[tuple[int, ...], int] = {delta: 1}
     for left in range(2 * m - 1, -1, -1):
@@ -691,12 +702,12 @@ def nonprofile_involution(w: Walk, r: int) -> Walk:
     return Walk(d=w.d, pos=tuple(new_pos), neg=tuple(new_neg))
 
 
-def translated_exit(w: Walk, start_offset: bool = True) -> tuple[int, int] | None:
+def translated_exit(w: Walk) -> tuple[int, int] | None:
     """First step index t (1-based) at which the walk, translated to start at
     (d-1, d-2, ..., 0), leaves the strict region x_1 > ... > x_d, together
     with the unique coordinate j where equality x_j = x_{j+1} occurs.
     None if the walk stays strictly ordered throughout."""
-    point = list(range(w.d - 1, -1, -1)) if start_offset else [0] * w.d
+    point = list(range(w.d - 1, -1, -1))
     for t, step in enumerate(walk_steps(w), start=1):
         point[abs(step) - 1] += 1 if step > 0 else -1
         ties = [j for j in range(w.d - 1) if point[j] == point[j + 1]]
@@ -757,13 +768,7 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
     pos_acc: list[int] = []
 
     def neg_halves(a: tuple[int, ...]):
-        counts: dict[int, int] = {}
-        same = []
-        lower = []
-        for v in a:
-            counts[v] = counts.get(v, 0) + 1
-            same.append(counts[v])
-            lower.append(counts.get(v - 1, 0))
+        same, lower = occurrence_profile(Walk(d, a, ()))
         # one constraint per positive position with value > 1:
         # (value c, same-count k, lower-count l); the l-th-to-last c-1 in the
         # negative half must come before the k-th-to-last c
@@ -776,7 +781,7 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
             sat_map.setdefault((c, k), []).append(cid)
             vio_map.setdefault((c - 1, l), []).append(cid)
         pending = set(range(len(constraints)))
-        remaining = dict(counts)
+        remaining = Counter(a)
         values_present = sorted(remaining)
         suffix = [0] * (d + 2)
         buf = [0] * m

@@ -15,6 +15,7 @@ from planarcount.tableaux import (
     column_word,
     count_tableau_pairs,
     enumerate_tableaux,
+    iter_block_tableaux,
     iter_partitions,
     pair_walk,
     row_insert,
@@ -273,6 +274,20 @@ def test_count_tableau_pairs_subgraph_small():
     assert sats == [T((1, 2), (3, 4))]
     assert count_tableau_pairs(2, 2, 2, "subgraph") == 1
     assert count_tableau_pairs(1, 2, 2, "subgraph") == 1
+
+
+@pytest.mark.parametrize("kind", ["matching", "subgraph"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_block_tableaux_are_the_filtered_enumeration(r, kind):
+    check = blocks_strictly_below if kind == "matching" else blocks_weakly_above
+    for n in range(7 // r + 1):
+        for d in range(n * r + 1):
+            expected = [
+                t
+                for t in enumerate_tableaux(n * r, d)
+                if n * r == 0 or check(t, n, r)
+            ]
+            assert list(iter_block_tableaux(n, r, d, kind)) == expected
 
 
 def test_count_tableau_pairs_rejects_bad_domain():

@@ -1,9 +1,12 @@
+import ast
 import json
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
 from planarcount import verify
+from planarcount.tableaux import count_tableau_pairs, iter_block_tableaux
 from planarcount.verify import (
     METHODS,
     VerificationReport,
@@ -19,10 +22,13 @@ from planarcount.walks import (
     BudgetExceeded,
     QuasiConfiguration,
     Walk,
+    in_restricted_family,
+    iter_restricted_family,
     iter_restricted_walks,
     iter_toeplitz,
     nonprofile_involution,
     signed_walk_cost,
+    signed_walk_sum,
 )
 
 
@@ -200,7 +206,7 @@ def test_restricted_walk_family_joins_every_endpoint_in_order(n, r):
             for pi, _, sign in iter_toeplitz(d, max_l1=2 * n * r)
             for w in iter_restricted_walks(n, r, d, pi, "matching")
         ]
-        assert list(verify._restricted_walk_family(n, r, d)) == expected
+        assert list(iter_restricted_family(n, r, d)) == expected
 
 
 def test_bijection_audit_reads_each_column_word_once():
@@ -339,3 +345,36 @@ def test_count_graphs_rejects_unknown_names():
         count_graphs(2, 2, 2, "matching", "nonsense")
     with pytest.raises(ValueError):
         count_graphs(2, 2, 2, "nonsense", "brute")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: signed_walk_cost(1, 1, 1, "bogus", "dp"),
+        lambda: signed_walk_sum(1, 1, 1, "bogus"),
+        lambda: count_tableau_pairs(1, 1, 1, "bogus"),
+        lambda: list(iter_block_tableaux(1, 1, 1, "bogus")),
+        lambda: in_restricted_family(Walk(d=1, pos=(1,), neg=(1,)), 1, "bogus"),
+        lambda: list(iter_restricted_walks(1, 1, 1, (1,), "bogus")),
+        lambda: count_graphs(1, 1, 1, "bogus", "brute"),
+    ],
+)
+def test_unknown_kind_is_one_value_error(call):
+    with pytest.raises(ValueError, match=r"^unknown kind 'bogus'$"):
+        call()
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    package = Path(verify.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("planarcount")
+            ):
+                private += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []
