@@ -17,6 +17,7 @@ from .graphs import (
     count_bounded_subgraph,
     enumerate_multigraphs,
     largest_planar_subgraph_size,
+    lifted_multigraphs,
     planar_matching_profile,
     project_configuration,
     sample_configuration,

@@ -5,12 +5,18 @@ v_1..v_n is stored as its n x n multiplicity matrix.  Splitting every vertex
 into r copies (ordered lexicographically and identified with [rn]) turns the
 graph into a configuration: a perfect matching of [rn] with [rn], i.e. a
 permutation in one-line notation.
+
+`lifted_multigraphs` is the one pipeline over multigraphs: it enumerates
+them, lifts each and measures its largest planar matching and subgraph.
+Brute-force counting keeps only a histogram of those size pairs per (n, r),
+and the bijection audit caches the lifts with their sizes.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -132,21 +138,22 @@ def canonical_lift(g: Multigraph) -> tuple[int, ...]:
     An edge (u_i, v_j) of multiplicity t, preceded (in the crossing order) by
     a = number of edges from u_i to later columns and b = number of edges into
     v_j from later rows, contributes the pairings
-    (copy a+s of u_i, copy b+t-s+1 of v_j) for s = 1..t.
+    (copy a+s of u_i, copy b+t-s+1 of v_j) for s = 1..t.  The cells are read
+    row by row, so a and b are the running row and column remainders.
     """
     n, r = g.n, g.r
     values = [0] * (r * n)
-    for i in range(n):
-        for j in range(n):
-            t = g.rows[i][j]
+    col_rem = [r] * n
+    for i, row in enumerate(g.rows):
+        a = r
+        for j, t in enumerate(row):
             if t == 0:
                 continue
-            a = sum(g.rows[i][j + 1 :])
-            b = sum(g.rows[ii][j] for ii in range(i + 1, n))
+            a -= t
+            col_rem[j] -= t
+            b = col_rem[j]
             for s in range(1, t + 1):
-                left = i * r + a + s
-                right = j * r + b + (t - s + 1)
-                values[left - 1] = right
+                values[i * r + a + s - 1] = j * r + b + t - s + 1
     return check_permutation(values)
 
 
@@ -190,27 +197,33 @@ def planar_matching_profile(perm) -> MatchingProfile:
 
 def largest_planar_subgraph_size(g: Multigraph) -> int:
     """Maximum total multiplicity over chains of cells weakly increasing in
-    both coordinates (noncrossing edges that may share endpoints)."""
-    n = g.n
-    # best[i][j] = max chain value over the rectangle of cells <= (i, j)
-    best = [[0] * (n + 1) for _ in range(n + 1)]
-    result = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            here = g.rows[i - 1][j - 1] + max(0, best[i - 1][j], best[i][j - 1])
-            result = max(result, here)
-            best[i][j] = max(here, best[i - 1][j], best[i][j - 1])
-    return result
+    both coordinates (noncrossing edges that may share endpoints).
+
+    After row i, best[j] is the best chain over the cells <= (i, j); with
+    nonnegative multiplicities that is t + max(best above, best to the left).
+    """
+    best = [0] * (g.n + 1)
+    for row in g.rows:
+        for j, t in enumerate(row, start=1):
+            best[j] = t + max(best[j], best[j - 1])
+    return best[-1]
+
+
+def lifted_multigraphs(n: int, r: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The one pipeline over multigraphs: for each graph of
+    `enumerate_multigraphs(n, r)`, in its order, its canonical lift, largest
+    planar matching and largest planar subgraph."""
+    for g in enumerate_multigraphs(n, r):
+        lift = canonical_lift(g)
+        matching = planar_matching_profile(lift).largest
+        yield lift, matching, largest_planar_subgraph_size(g)
 
 
 @lru_cache(maxsize=None)
-def _planar_sizes(n: int, r: int) -> tuple[tuple[int, int], ...]:
-    """(largest planar matching, largest planar subgraph) of every
-    multigraph of `enumerate_multigraphs(n, r)`, in one enumeration."""
-    return tuple(
-        (planar_matching_profile(canonical_lift(g)).largest,
-         largest_planar_subgraph_size(g))
-        for g in enumerate_multigraphs(n, r)
+def _size_histogram(n: int, r: int) -> Counter:
+    """How many multigraphs have each (largest matching, largest subgraph)."""
+    return Counter(
+        (matching, subgraph) for _, matching, subgraph in lifted_multigraphs(n, r)
     )
 
 
@@ -223,13 +236,13 @@ def enumeration_cost(n: int, r: int) -> int:
 def count_bounded_matching(n: int, r: int, d: int) -> int:
     """Number of r-regular multigraphs whose largest planar matching is <= d."""
     check_count_params(n, r, d)
-    return sum(1 for size, _ in _planar_sizes(n, r) if size <= d)
+    return sum(c for (size, _), c in _size_histogram(n, r).items() if size <= d)
 
 
 def count_bounded_subgraph(n: int, r: int, d: int) -> int:
     """Number of r-regular multigraphs whose largest planar subgraph is <= d."""
     check_count_params(n, r, d)
-    return sum(1 for _, size in _planar_sizes(n, r) if size <= d)
+    return sum(c for (_, size), c in _size_histogram(n, r).items() if size <= d)
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from typing import Iterator
 
 from .graphs import check_count_params, check_kind, check_length_params
 from .perms import check_permutation
+from .walks import Walk, strictly_increasing_blocks, weakly_decreasing_blocks
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,28 +163,28 @@ def rsk_inverse(p: YoungTableau, q: YoungTableau) -> tuple[int, ...]:
 def blocks_strictly_below(t: YoungTableau, n: int, r: int) -> bool:
     """Within every group of r consecutive values r(i-1)+1..ri, each value
     sits in a strictly higher row than its successor."""
-    _check_block_entries(t, n, r)
-    return all(
-        t.row_of(r * (i - 1) + s) < t.row_of(r * (i - 1) + s + 1)
-        for i in range(1, n + 1)
-        for s in range(1, r)
-    )
+    return strictly_increasing_blocks(_block_row_word(t, n, r), r)
 
 
 def blocks_weakly_above(t: YoungTableau, n: int, r: int) -> bool:
     """Within every group of r consecutive values, each successor sits weakly
     above (same row or higher than) its predecessor."""
-    _check_block_entries(t, n, r)
-    return all(
-        t.row_of(r * (i - 1) + s + 1) <= t.row_of(r * (i - 1) + s)
-        for i in range(1, n + 1)
-        for s in range(1, r)
-    )
+    return weakly_decreasing_blocks(_block_row_word(t, n, r), r)
 
 
-def _check_block_entries(t: YoungTableau, n: int, r: int) -> None:
-    if t.entries() != list(range(1, n * r + 1)):
-        raise ValueError(f"entries must be exactly [{n * r}]")
+def _block_row_word(t: YoungTableau, n: int, r: int) -> list[int]:
+    """For entries 1..rn in order, the row each occupies.  The entries are
+    distinct, so rn of them in [1, rn] are exactly [rn]."""
+    m = n * r
+    if t.size != m:
+        raise ValueError(f"entries must be exactly [{m}]")
+    word = [0] * m
+    for i, row in enumerate(t.rows, start=1):
+        for value in row:
+            if not 1 <= value <= m:
+                raise ValueError(f"entries must be exactly [{m}]")
+            word[value - 1] = i
+    return word
 
 
 def iter_partitions(m: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -208,32 +209,25 @@ def enumerate_tableaux(m: int, d: int) -> Iterator[YoungTableau]:
     """Every standard tableau with entries [m] and at most d columns.
 
     Shapes come first (partitions of m with parts <= d), then each shape is
-    filled by backtracking: value k+1 goes into any cell whose left and upper
-    neighbours are already filled.
+    filled by backtracking: value k goes to the end of any row i that is
+    shorter than its part and than row i-1, topmost row first.
     """
     check_length_params(m, d)
     if m == 0:
         yield EMPTY_TABLEAU
         return
-    if d == 0:
-        return
     for shape in iter_partitions(m, d):
-        grid = [[0] * length for length in shape]
+        rows = [[] for _ in shape]
 
         def fill(value) -> Iterator[YoungTableau]:
             if value > m:
-                yield YoungTableau(tuple(tuple(row) for row in grid))
+                yield YoungTableau(tuple(tuple(row) for row in rows))
                 return
-            for i, length in enumerate(shape):
-                # next free cell in row i is just after the filled prefix
-                j = next((jj for jj in range(length) if grid[i][jj] == 0), None)
-                if j is None:
-                    continue
-                if i > 0 and (len(grid[i - 1]) <= j or grid[i - 1][j] == 0):
-                    continue
-                grid[i][j] = value
-                yield from fill(value + 1)
-                grid[i][j] = 0
+            for i, row in enumerate(rows):
+                if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                    row.append(value)
+                    yield from fill(value + 1)
+                    row.pop()
 
         yield from fill(1)
 
@@ -277,8 +271,6 @@ def column_walk(t: YoungTableau, d: int | None = None):
     satisfies the weak block-decrease condition exactly when the tableau has
     strict block descents.
     """
-    from .walks import Walk
-
     word = column_word(t)
     if d is None:
         d = max(1, t.column_count)
@@ -289,8 +281,6 @@ def pair_walk(p: YoungTableau, q: YoungTableau, d: int | None = None):
     """Closed walk of an equal-shape pair: the column word of p as positive
     steps, then the column word of q reversed as negative steps.  Equal
     shapes make the walk end at the origin."""
-    from .walks import Walk
-
     if p.shape != q.shape:
         raise ValueError("tableaux must have the same shape")
     if d is None:

@@ -21,15 +21,14 @@ from math import comb, factorial
 from typing import Callable, NamedTuple
 
 from .graphs import (
-    canonical_lift,
     check_count_params,
     check_kind,
     check_length_params,
     count_bounded_lis,
     count_bounded_matching,
     count_bounded_subgraph,
-    enumerate_multigraphs,
     enumeration_cost,
+    lifted_multigraphs,
     planar_matching_profile,
 )
 from .series import bessel_series, determinant_cost, series_determinant
@@ -272,12 +271,8 @@ def verify_gessel_identity(
 
 @lru_cache(maxsize=None)
 def _lifted_configurations(n: int, r: int) -> tuple:
-    """(configuration, largest matching size) for every multigraph."""
-    out = []
-    for g in enumerate_multigraphs(n, r):
-        lift = canonical_lift(g)
-        out.append((lift, planar_matching_profile(lift).largest))
-    return tuple(out)
+    """`lifted_multigraphs(n, r)`, kept for every d the audit is run at."""
+    return tuple(lifted_multigraphs(n, r))
 
 
 class _LiftFacts(NamedTuple):
@@ -310,9 +305,7 @@ def _lift_facts(lift: tuple[int, ...], n: int, r: int) -> _LiftFacts:
         rsk_notes.append(f"configuration {lift}: unequal shapes")
     else:
         pair = (p, q)
-        if n * r and not (
-            blocks_strictly_below(p, n, r) and blocks_strictly_below(q, n, r)
-        ):
+        if not (blocks_strictly_below(p, n, r) and blocks_strictly_below(q, n, r)):
             rsk_notes.append(
                 f"configuration {lift}: image lacks strict block descents"
             )
@@ -474,7 +467,7 @@ def audit_bijections(
 
     bounded = [
         (lift, _lift_facts(lift, n, r))
-        for lift, size in _lifted_configurations(n, r)
+        for lift, size, _ in _lifted_configurations(n, r)
         if size <= d
     ]
 

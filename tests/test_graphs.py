@@ -14,11 +14,13 @@ from planarcount.graphs import (
     count_bounded_subgraph,
     enumerate_multigraphs,
     largest_planar_subgraph_size,
+    lifted_multigraphs,
     planar_matching_profile,
     project_configuration,
     sample_configuration,
 )
 from planarcount.perms import iter_permutations, perm_inverse
+from planarcount.walks import signed_walk_sum
 
 WORKED_GRAPH = Multigraph(n=3, r=2, rows=((0, 1, 1), (2, 0, 0), (0, 1, 1)))
 WORKED_LIFT = (6, 4, 2, 1, 5, 3)
@@ -67,6 +69,22 @@ def brute_largest_subgraph(g):
         return here + best
 
     return max(extend(i, j) for i, j in cells)
+
+
+def slice_sum_lift(g):
+    """The canonical lift with a and b re-summed from slices for every cell."""
+    n, r = g.n, g.r
+    values = [0] * (r * n)
+    for i in range(n):
+        for j in range(n):
+            t = g.rows[i][j]
+            if t == 0:
+                continue
+            a = sum(g.rows[i][j + 1 :])
+            b = sum(g.rows[ii][j] for ii in range(i + 1, n))
+            for s in range(1, t + 1):
+                values[i * r + a + s - 1] = j * r + b + (t - s + 1)
+    return tuple(values)
 
 
 # ---------------------------------------------------------- enumeration
@@ -172,6 +190,23 @@ def test_lift_round_trip_and_injectivity(n, r):
         seen[lift] = g
 
 
+@pytest.mark.parametrize("n,r", SMALL_GRIDS)
+def test_lift_matches_slice_sum_reference_in_order(n, r):
+    graphs = list(enumerate_multigraphs(n, r))
+    assert [canonical_lift(g) for g in graphs] == [slice_sum_lift(g) for g in graphs]
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n, r in SMALL_GRIDS if n <= 3])
+def test_lifted_multigraphs_lift_and_measure_every_graph_in_order(n, r):
+    graphs = list(enumerate_multigraphs(n, r))
+    lifted = list(lifted_multigraphs(n, r))
+    assert len(lifted) == len(graphs)
+    for g, (lift, matching, subgraph) in zip(graphs, lifted):
+        assert project_configuration(lift, n, r) == g
+        assert matching == planar_matching_profile(lift).largest
+        assert subgraph == brute_largest_subgraph(g)
+
+
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3), (4, 2)])
 def test_lift_profile_weakly_decreases_within_blocks(n, r):
     # the lift makes parallel copies cross, so matching sizes cannot grow
@@ -274,6 +309,18 @@ def test_count_bounded_subgraph_examples():
     assert count_bounded_subgraph(2, 2, 3) == 2
     assert count_bounded_subgraph(2, 2, 4) == 3
     assert count_bounded_subgraph(2, 1, 1) == 1
+
+
+@pytest.mark.parametrize("n,r", [(5, 2), (4, 3), (3, 4), (2, 6)])
+def test_brute_force_agrees_with_walk_dp_past_the_grid(n, r):
+    # rn = 10, 12, 12, 12: beyond the rn <= 8 grid that every method covers
+    for d in range(n * r + 1):
+        assert count_bounded_matching(n, r, d) == signed_walk_sum(
+            n, r, d, "matching", "dp"
+        ), d
+        assert count_bounded_subgraph(n, r, d) == signed_walk_sum(
+            n, r, d, "subgraph", "dp"
+        ), d
 
 
 def test_zero_bound_counts_nothing():

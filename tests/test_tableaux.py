@@ -52,6 +52,33 @@ def hook_length_count(shape):
     return factorial(sum(shape)) // product
 
 
+def grid_backtracking_tableaux(m, d):
+    """Standard tableaux on [m] with at most d columns, shape by shape:
+    value k+1 goes into the first free cell of any row whose upper
+    neighbour is filled, found by scanning the row."""
+    if m == 0:
+        yield EMPTY_TABLEAU
+        return
+    for shape in iter_partitions(m, d):
+        grid = [[0] * length for length in shape]
+
+        def fill(value):
+            if value > m:
+                yield YoungTableau(tuple(tuple(row) for row in grid))
+                return
+            for i, length in enumerate(shape):
+                j = next((jj for jj in range(length) if grid[i][jj] == 0), None)
+                if j is None:
+                    continue
+                if i > 0 and (len(grid[i - 1]) <= j or grid[i - 1][j] == 0):
+                    continue
+                grid[i][j] = value
+                yield from fill(value + 1)
+                grid[i][j] = 0
+
+        yield from fill(1)
+
+
 # ------------------------------------------------------------------ validity
 
 
@@ -230,6 +257,48 @@ def test_block_conditions_examples():
 
 
 # ------------------------------------------------------------------ counting
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_enumeration_matches_grid_backtracking_in_order(m):
+    for d in range(m + 2):
+        assert list(enumerate_tableaux(m, d)) == list(grid_backtracking_tableaux(m, d))
+
+
+def row_of_reference(t, n, r, holds):
+    """Block condition read with `row_of` per value: holds(row(k), row(k+1))
+    for every pair of consecutive values inside one block."""
+    return all(
+        holds(t.row_of(r * (i - 1) + s), t.row_of(r * (i - 1) + s + 1))
+        for i in range(1, n + 1)
+        for s in range(1, r)
+    )
+
+
+@pytest.mark.parametrize(
+    "n,r", [(0, 3), (4, 1), (4, 2), (2, 4), (3, 2), (2, 3), (1, 7)]
+)
+def test_block_conditions_match_row_of_reference(n, r):
+    for t in enumerate_tableaux(n * r, n * r):
+        assert blocks_strictly_below(t, n, r) == row_of_reference(
+            t, n, r, lambda a, b: a < b
+        )
+        assert blocks_weakly_above(t, n, r) == row_of_reference(
+            t, n, r, lambda a, b: b <= a
+        )
+
+
+def test_block_conditions_check_the_entries():
+    for t, n, r in (
+        (T((1, 2),), 2, 2),  # too few entries
+        (T((1, 2, 3),), 1, 2),  # too many
+        (T((1, 5),), 1, 2),  # right size, out of range
+        (T((2,),), 1, 1),
+    ):
+        message = rf"entries must be exactly \[{n * r}\]"
+        for check in (blocks_strictly_below, blocks_weakly_above):
+            with pytest.raises(ValueError, match=message):
+                check(t, n, r)
 
 
 def test_enumerate_tableaux_counts():
