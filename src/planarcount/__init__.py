@@ -16,6 +16,7 @@ from .graphs import (
     count_bounded_matching,
     count_bounded_subgraph,
     enumerate_multigraphs,
+    largest_planar_matching_size,
     largest_planar_subgraph_size,
     lifted_multigraphs,
     planar_matching_profile,

@@ -35,17 +35,17 @@ class Multigraph:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 0 or self.r < 1:
+        n, r, rows = self.n, self.r, self.rows
+        if n < 0 or r < 1:
             raise ValueError("need n >= 0 and r >= 1")
-        if len(self.rows) != self.n or any(len(row) != self.n for row in self.rows):
+        if len(rows) != n or not set(map(len, rows)) <= {n}:
             raise ValueError("multiplicity matrix must be n x n")
-        if any(x < 0 for row in self.rows for x in row):
+        if n and min(map(min, rows)) < 0:
             raise ValueError("multiplicities must be nonnegative")
-        if any(sum(row) != self.r for row in self.rows):
+        if not set(map(sum, rows)) <= {r}:
             raise ValueError("every row sum must equal r")
-        for j in range(self.n):
-            if sum(row[j] for row in self.rows) != self.r:
-                raise ValueError("every column sum must equal r")
+        if not set(map(sum, zip(*rows))) <= {r}:
+            raise ValueError("every column sum must equal r")
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -195,6 +195,20 @@ def planar_matching_profile(perm) -> MatchingProfile:
     return MatchingProfile(left, right, max(left, default=0))
 
 
+def largest_planar_matching_size(perm) -> int:
+    """`planar_matching_profile(perm).largest` from the left patience pass
+    alone: the length of a longest increasing subsequence.  The permutation
+    is not validated."""
+    piles: list[int] = []
+    for v in perm:
+        p = bisect_left(piles, v)
+        if p == len(piles):
+            piles.append(v)
+        else:
+            piles[p] = v
+    return len(piles)
+
+
 def largest_planar_subgraph_size(g: Multigraph) -> int:
     """Maximum total multiplicity over chains of cells weakly increasing in
     both coordinates (noncrossing edges that may share endpoints).
@@ -215,8 +229,7 @@ def lifted_multigraphs(n: int, r: int) -> Iterator[tuple[tuple[int, ...], int, i
     planar matching and largest planar subgraph."""
     for g in enumerate_multigraphs(n, r):
         lift = canonical_lift(g)
-        matching = planar_matching_profile(lift).largest
-        yield lift, matching, largest_planar_subgraph_size(g)
+        yield lift, largest_planar_matching_size(lift), largest_planar_subgraph_size(g)
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +264,7 @@ def _lis_histogram(m: int) -> tuple[int, ...]:
     length 0..m, by exhaustive enumeration."""
     counts = [0] * (m + 1)
     for perm in permutations(range(1, m + 1)):
-        counts[planar_matching_profile(perm).largest] += 1
+        counts[largest_planar_matching_size(perm)] += 1
     return tuple(counts)
 
 

@@ -31,8 +31,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (
+    accumulate,
+    combinations,
+    combinations_with_replacement,
+    permutations,
+)
 from math import comb
+from operator import add, mul, sub
 from typing import Iterator, NamedTuple
 
 from .graphs import (
@@ -419,27 +425,79 @@ def _fold_into_shapes(profiles: dict, d: int) -> dict:
 
 def _shape_counts_dp(n: int, r: int, d: int, kind: str) -> dict:
     """Shape -> signed half-walk count, by adding one block at a time to
-    sorted states: start from delta, add a block's count-vector, sort with
-    sign, and drop states with a repeated entry (their terms cancel)."""
+    sorted states: start from delta, add a block's count-vector c, sort with
+    sign, and drop states with a repeated entry (their terms cancel).
+
+    A state y is packed into one int, coordinate j as the digit of base**j
+    with base = rn + d + 1.  No entry of y or of y + c reaches rn + d, so no
+    digit carries.  The order and the ties of y + c depend only on the gaps
+    y[j+1] - y[j] capped at cap = 1 + the largest entry of any c, because no
+    difference c[i] - c[j] reaches cap.  So the sort is paid once per gap
+    class and block, when a state of that class is first met, and not once
+    per transition.  A class's moves leave out the blocks that make a tie.
+    A block that keeps the order adds its code to the key; one that reorders
+    moves digit j of y to the place value weights[j] and adds a constant,
+    with the sign of the sort.  The table lives for one call.
+    """
     increments = [counts for _, counts in _block_choices(d, r, kind)]
-    shapes: dict[tuple[int, ...], int] = {tuple(range(d)): 1}
+    base = n * r + d + 1
+    powers = [base**j for j in range(d)]
+    cap = 1 + max(map(max, increments), default=0)
+    capped = [min(gap, cap) for gap in range(base)]
+    table: dict[tuple[int, ...], tuple] = {}
+
+    def class_moves(gaps: tuple[int, ...]) -> tuple:
+        """(codes of order-keeping blocks, (weights, constant, sign) of
+        reordering blocks) for the states with these capped gaps."""
+        rep = list(accumulate(gaps, initial=0))
+        same, moved = [], []
+        for inc in increments:
+            values = list(map(add, rep, inc))
+            sorted_sign = _sort_with_sign(values)
+            if sorted_sign is None:
+                continue
+            shape, sign = sorted_sign
+            rank = {v: k for k, v in enumerate(shape)}
+            weights = [powers[rank[v]] for v in values]
+            const = sum(map(mul, inc, weights))
+            if weights == powers:
+                same.append(const)
+            else:
+                moved.append((weights, const, sign))
+        return same, moved
+
+    shapes = {sum(map(mul, range(d), powers)): 1}
     for _ in range(n):
-        nxt: dict[tuple[int, ...], int] = {}
-        for shape, ways in shapes.items():
-            for inc in increments:
-                sorted_sign = _sort_with_sign([a + b for a, b in zip(shape, inc)])
-                if sorted_sign is not None:
-                    key, sign = sorted_sign
-                    nxt[key] = nxt.get(key, 0) + sign * ways
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, ways in shapes.items():
+            y = [key // p % base for p in powers]
+            gaps = tuple(map(capped.__getitem__, map(sub, y[1:], y)))
+            moves = table.get(gaps)
+            if moves is None:
+                moves = table[gaps] = class_moves(gaps)
+            same, moved = moves
+            for code in same:
+                k = key + code
+                nxt[k] = get(k, 0) + ways
+            for weights, const, sign in moved:
+                k = sum(map(mul, y, weights)) + const
+                nxt[k] = get(k, 0) + (ways if sign > 0 else -ways)
         shapes = {key: ways for key, ways in nxt.items() if ways}
-    return shapes
+    return {
+        tuple(key // p % base for p in powers): ways for key, ways in shapes.items()
+    }
 
 
 def signed_walk_cost(n: int, r: int, d: int, kind: str, counter: str) -> int:
     """Upper bound on the work of `signed_walk_sum` with this counter:
     blocks**n half-walks for "enumerate"; for "dp", n steps that each add
     every block to every shape, where a step starts from at most
-    min(blocks**k, C(rn+d, d)) shapes after k earlier steps."""
+    min(blocks**k, C(rn+d, d)) shapes after k earlier steps.  The dp's move
+    table does not change the bound: it sorts once per gap class and block,
+    and a class is built only when a shape of it is first met, so the table
+    adds at most one pass of classes x blocks, which is no more than the
+    shape x block transitions counted here."""
     check_kind(kind)
     blocks = comb(d + r - 1, r) if kind == "matching" else comb(d, r)
     if counter == "enumerate":

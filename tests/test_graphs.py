@@ -13,6 +13,7 @@ from planarcount.graphs import (
     count_bounded_matching,
     count_bounded_subgraph,
     enumerate_multigraphs,
+    largest_planar_matching_size,
     largest_planar_subgraph_size,
     lifted_multigraphs,
     planar_matching_profile,
@@ -147,10 +148,23 @@ def test_zero_vertices_is_the_empty_multigraph():
 
 
 def test_invalid_matrix_rejected():
-    with pytest.raises(ValueError):
-        Multigraph(n=2, r=2, rows=((2, 0), (1, 1)))
-    with pytest.raises(ValueError):
-        Multigraph(n=2, r=1, rows=((1, -1), (-1, 1)))
+    # one case per check, in the order the checks run: each matrix passes
+    # every earlier check, so the message names the first failing one
+    cases = [
+        ((-1, 2, ()), "need n >= 0 and r >= 1"),
+        ((2, 0, ((0, 0), (0, 0))), "need n >= 0 and r >= 1"),
+        ((2, 2, ((2, 0),)), "multiplicity matrix must be n x n"),
+        ((2, 2, ((2, 0), (0, 1, 1))), "multiplicity matrix must be n x n"),
+        ((2, 1, ((1, -1), (-1, 1))), "multiplicities must be nonnegative"),
+        ((2, 2, ((2, 0), (1, 2))), "every row sum must equal r"),
+        ((2, 2, ((2, 0), (0, 1))), "every row sum must equal r"),
+        ((2, 2, ((1, 1), (2, 0))), "every column sum must equal r"),
+        ((3, 1, ((1, 0, 0), (1, 0, 0), (0, 0, 1))), "every column sum must equal r"),
+    ]
+    for (n, r, rows), message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Multigraph(n=n, r=r, rows=rows)
+    assert Multigraph(n=0, r=1, rows=()).rows == ()
 
 
 # ------------------------------------------------------------ lift/project
@@ -238,6 +252,12 @@ def test_profile_of_identity_and_crossing():
 def test_largest_matching_matches_subset_search(m):
     for perm in iter_permutations(m):
         assert planar_matching_profile(perm).largest == brute_largest_matching(perm)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_largest_matching_size_is_profile_largest(m):
+    for perm in permutations(range(1, m + 1)):
+        assert largest_planar_matching_size(perm) == planar_matching_profile(perm).largest
 
 
 @given(st.permutations(list(range(1, 9))))

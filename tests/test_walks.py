@@ -4,6 +4,8 @@ from itertools import compress, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from planarcount.graphs import (
     count_bounded_lis,
     count_bounded_matching,
@@ -14,7 +16,9 @@ from planarcount.walks import (
     BudgetExceeded,
     Walk,
     _block_choices,
+    _fold_into_shapes,
     _half_profiles_enumerate,
+    _shape_counts_dp,
     _sort_with_sign,
     all_walks_cost,
     count_all_walks_signed,
@@ -66,6 +70,15 @@ def test_walk_text_round_trip():
         Walk.from_text("11|2|1")
     with pytest.raises(ValueError):
         Walk(d=2, pos=(3,), neg=())
+
+
+def test_walk_rejection_names_first_bad_step():
+    for pos, neg, bad in [((3,), (), 3), ((1, 0, 5), (), 0), ((2,), (1, 4, -1), 4)]:
+        with pytest.raises(ValueError, match=rf"^step direction {bad} outside \[1, 2\]$"):
+            Walk(d=2, pos=pos, neg=neg)
+    with pytest.raises(ValueError, match="^dimension must be >= 0$"):
+        Walk(d=-1, pos=(), neg=())
+    assert Walk(d=0, pos=(), neg=()).to_text() == "|"
 
 
 def test_toeplitz_points():
@@ -299,6 +312,12 @@ def test_half_profiles_enumerate_matches_product_reference(n, r, d, kind):
         assert profiles == product_half_profiles(n, d, vectors)
 
 
+@pytest.mark.parametrize("n,r,d,kind", ENUM_GRID)
+def test_shape_dp_matches_folded_enumeration(n, r, d, kind):
+    folded = _fold_into_shapes(_half_profiles_enumerate(n, r, d, kind), d)
+    assert _shape_counts_dp(n, r, d, kind) == {y: c for y, c in folded.items() if c}
+
+
 @pytest.mark.parametrize("d", range(6))
 def test_sort_with_sign(d):
     for perm in iter_permutations(d):
@@ -330,6 +349,44 @@ PINNED_COUNTS = {
 @pytest.mark.parametrize("n,r,d,kind", sorted(PINNED_COUNTS))
 def test_pinned_large_counts(n, r, d, kind):
     assert signed_walk_sum(n, r, d, kind, "dp") == PINNED_COUNTS[(n, r, d, kind)]
+
+
+def reference_shape_counts_dp(n, r, d, kind):
+    """Reference: the shape DP that sorts y + c afresh at every transition."""
+    increments = [counts for _, counts in _block_choices(d, r, kind)]
+    shapes = {tuple(range(d)): 1}
+    for _ in range(n):
+        nxt = {}
+        for shape, ways in shapes.items():
+            for inc in increments:
+                sorted_sign = _sort_with_sign([a + b for a, b in zip(shape, inc)])
+                if sorted_sign is not None:
+                    key, sign = sorted_sign
+                    nxt[key] = nxt.get(key, 0) + sign * ways
+        shapes = {key: ways for key, ways in nxt.items() if ways}
+    return shapes
+
+
+@st.composite
+def dp_sizes(draw):
+    """(n, r, d, kind) with n <= 16, r <= 4, d <= 6, n capped so that the
+    reference DP's cost estimate stays small."""
+    r = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["matching", "subgraph"]))
+    n_max = max(n for n in range(17) if signed_walk_cost(n, r, d, kind, "dp") <= 10**5)
+    return draw(st.integers(0, n_max)), r, d, kind
+
+
+@given(dp_sizes())
+@settings(max_examples=100, deadline=None)
+def test_shape_dp_matches_reference_dp(size):
+    assert _shape_counts_dp(*size) == reference_shape_counts_dp(*size)
+
+
+@pytest.mark.parametrize("n,r,d,kind", sorted(PINNED_COUNTS))
+def test_shape_dp_matches_reference_dp_at_pinned_sizes(n, r, d, kind):
+    assert _shape_counts_dp(n, r, d, kind) == reference_shape_counts_dp(n, r, d, kind)
 
 
 def test_signed_walk_cost():
