@@ -30,6 +30,7 @@ from .graphs import (
     Multigraph,
     canonical_lift,
     check_count_params,
+    largest_planar_matching_size,
     planar_matching_profile,
     sample_configuration,
 )
@@ -236,7 +237,7 @@ def cmd_table(args) -> int:
             dist: dict[int, int] = {}
             for i in range(args.sample):
                 perm = sample_configuration(n, args.r, args.seed + i)
-                size = planar_matching_profile(perm).largest
+                size = largest_planar_matching_size(perm)
                 dist[size] = dist.get(size, 0) + 1
             empirical[n] = dict(sorted(dist.items()))
 
@@ -298,7 +299,7 @@ def cmd_sample(args) -> int:
     samples = []
     for i in range(args.count):
         perm = sample_configuration(args.n, args.r, args.seed + i)
-        samples.append((perm, planar_matching_profile(perm).largest))
+        samples.append((perm, largest_planar_matching_size(perm)))
     if args.format == "json":
         payload = {
             "n": args.n,

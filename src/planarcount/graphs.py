@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 from typing import Iterator, NamedTuple
 
 from .perms import check_permutation, perm_inverse
@@ -266,6 +266,12 @@ def _lis_histogram(m: int) -> tuple[int, ...]:
     for perm in permutations(range(1, m + 1)):
         counts[largest_planar_matching_size(perm)] += 1
     return tuple(counts)
+
+
+def lis_cost(m: int) -> int:
+    """Upper bound on the work of `count_bounded_lis`: m! permutations, each
+    read once by the patience pass."""
+    return factorial(m) * m
 
 
 def count_bounded_lis(m: int, d: int) -> int:

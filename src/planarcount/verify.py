@@ -29,6 +29,7 @@ from .graphs import (
     count_bounded_subgraph,
     enumeration_cost,
     lifted_multigraphs,
+    lis_cost,
     planar_matching_profile,
 )
 from .series import bessel_series, determinant_cost, series_determinant
@@ -213,7 +214,11 @@ def verify_walk_scaling(
     _check_threads(threads)
     started = time.perf_counter()
     check_length_params(m, d)
-    estimate = all_walks_cost(m, d) + factorial(m) + d**m
+    estimate = (
+        all_walks_cost(m, d)
+        + signed_walk_cost(m, 1, d, "matching", "dp")
+        + lis_cost(m)
+    )
     require_budget(estimate, budget, "walk scaling")
     scale = comb(2 * m, m)
     methods = {
@@ -237,7 +242,7 @@ def verify_gessel_identity(
         raise ValueError("truncation degree must be even and >= 0")
     require_budget(
         determinant_cost(d, truncation)
-        + factorial(truncation // 2) * (truncation // 2),
+        + sum(lis_cost(m) for m in range(truncation // 2 + 1)),
         budget,
         "gessel identity",
     )

@@ -153,15 +153,6 @@ def endpoint(w: Walk) -> tuple[int, ...]:
     return tuple(point)
 
 
-def prefix_points(w: Walk) -> Iterator[tuple[int, ...]]:
-    """All points visited, starting point included."""
-    point = [0] * w.d
-    yield tuple(point)
-    for step in walk_steps(w):
-        point[abs(step) - 1] += 1 if step > 0 else -1
-        yield tuple(point)
-
-
 def toeplitz_point(pi) -> tuple[int, ...]:
     """(1 - pi(1), 2 - pi(2), ..., d - pi(d))."""
     pi = check_permutation(pi)
@@ -185,10 +176,9 @@ def iter_toeplitz(d: int, max_l1: int | None = None):
 
 
 def stays_in_dominance_region(w: Walk) -> bool:
-    """True if every visited point has x_1 >= x_2 >= ... >= x_d."""
-    return all(
-        all(p[i] >= p[i + 1] for i in range(w.d - 1)) for p in prefix_points(w)
-    )
+    """True if every visited point has x_1 >= x_2 >= ... >= x_d, that is,
+    if the walk translated to start at (d-1, ..., 0) stays strictly ordered."""
+    return translated_exit(w) is None
 
 
 def reverse_negative_half(w: Walk) -> Walk:
@@ -228,11 +218,7 @@ def in_restricted_family(w: Walk, r: int, kind: str = "matching") -> bool:
 def in_reversed_family(w: Walk, r: int) -> bool:
     """Block test after the negative half has been reversed: positive blocks
     weakly decrease, negative blocks weakly increase."""
-    if len(w.pos) != len(w.neg) or len(w.pos) % r:
-        return False
-    return weakly_decreasing_blocks(w.pos, r) and weakly_decreasing_blocks(
-        w.neg[::-1], r
-    )
+    return in_restricted_family(reverse_negative_half(w), r, "matching")
 
 
 @lru_cache(maxsize=None)
@@ -634,18 +620,6 @@ def occurrence_profile(w: Walk) -> OccurrenceProfile:
     return OccurrenceProfile(tuple(same), tuple(lower))
 
 
-def _kth_to_last_position(values, value: int, k: int) -> int | None:
-    """1-based position of the k-th occurrence of `value` counted from the
-    end; None if there are fewer than k occurrences."""
-    seen = 0
-    for i in range(len(values) - 1, -1, -1):
-        if values[i] == value:
-            seen += 1
-            if seen == k:
-                return i + 1
-    return None
-
-
 def profile_violations(w: Walk) -> tuple[int, ...]:
     """Positive positions at which the walk fails to look like a prefix
     matching profile.
@@ -655,27 +629,23 @@ def profile_violations(w: Walk) -> tuple[int, ...]:
     steps exists (k = occurrences of c up to u), and the l-th-to-last
     occurrence of c-1 among the negative steps, if it exists, comes earlier.
     """
-    return _profile_violations(w, occurrence_profile(w))
+    return _profile_violations(w, occurrence_profile(w), _value_positions(w.neg))
 
 
-def _profile_violations(w: Walk, profile: OccurrenceProfile) -> tuple[int, ...]:
-    """`profile_violations` given the walk's occurrence profile."""
-    same, lower = profile
+def _profile_violations(w: Walk, profile: OccurrenceProfile, at) -> tuple[int, ...]:
+    """`profile_violations` given the walk's occurrence profile and the
+    positions of each value among its negative steps (`_value_positions`),
+    so the k-th-to-last c is at[c][-k]."""
     bad = []
-    for u in range(1, len(w.pos) + 1):
-        c = w.pos[u - 1]
+    for u, (c, k, l) in enumerate(zip(w.pos, *profile), start=1):
         if c == 1:
             continue
-        k, l = same[u - 1], lower[u - 1]
-        if l == 0:
+        anchors = at.get(c, ())
+        if l == 0 or len(anchors) < k:
             bad.append(u)
             continue
-        anchor = _kth_to_last_position(w.neg, c, k)
-        if anchor is None:
-            bad.append(u)
-            continue
-        earlier = _kth_to_last_position(w.neg, c - 1, l)
-        if earlier is not None and earlier > anchor:
+        earlier = at.get(c - 1, ())
+        if len(earlier) >= l and earlier[-l] > anchors[-k]:
             bad.append(u)
     return tuple(bad)
 
@@ -732,7 +702,8 @@ def nonprofile_involution(w: Walk, r: int) -> Walk:
         raise ValueError("walk does not satisfy the block conditions")
     _toeplitz_preimage(endpoint(w))
     profile = occurrence_profile(w)
-    violations = _profile_violations(w, profile)
+    at = _value_positions(w.neg)
+    violations = _profile_violations(w, profile, at)
     if not violations:
         raise ValueError("walk is a prefix matching profile; not in the domain")
     u = violations[0]
@@ -740,10 +711,10 @@ def nonprofile_involution(w: Walk, r: int) -> Walk:
     l = profile.lower[u - 1]
     if l == 0:
         v_bar = m + 1
+    elif len(at.get(c - 1, ())) < l:
+        raise ValueError("no anchor position; endpoint is not a Toeplitz point")
     else:
-        v_bar = _kth_to_last_position(w.neg, c - 1, l)
-        if v_bar is None:
-            raise ValueError("no anchor position; endpoint is not a Toeplitz point")
+        v_bar = at[c - 1][-l]
 
     new_pos = list(w.pos)
     new_neg = list(w.neg)
@@ -764,15 +735,20 @@ def translated_exit(w: Walk) -> tuple[int, int] | None:
     """First step index t (1-based) at which the walk, translated to start at
     (d-1, d-2, ..., 0), leaves the strict region x_1 > ... > x_d, together
     with the unique coordinate j where equality x_j = x_{j+1} occurs.
-    None if the walk stays strictly ordered throughout."""
+    None if the walk stays strictly ordered throughout.  A unit step from a
+    strictly ordered point can only tie the moved coordinate with the
+    neighbour it moves towards, so the exit is always that one tie."""
     point = list(range(w.d - 1, -1, -1))
     for t, step in enumerate(walk_steps(w), start=1):
-        point[abs(step) - 1] += 1 if step > 0 else -1
-        ties = [j for j in range(w.d - 1) if point[j] == point[j + 1]]
-        if ties or any(point[j] < point[j + 1] for j in range(w.d - 1)):
-            if len(ties) != 1:
-                raise ValueError("first exit must create exactly one tie")
-            return t, ties[0] + 1
+        j = abs(step)
+        if step > 0:
+            point[j - 1] += 1
+            if j > 1 and point[j - 2] == point[j - 1]:
+                return t, j - 1
+        else:
+            point[j - 1] -= 1
+            if j < w.d and point[j - 1] == point[j]:
+                return t, j
     return None
 
 
@@ -817,8 +793,8 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
     lower count is zero); every positive value needs as many negative copies
     as its positive count (the k-th-to-last occurrences must exist), which
     with a Toeplitz endpoint forces the negative half to be a rearrangement
-    of the positive half; and the before/after constraints are checked
-    incrementally while the negative half is built back to front.
+    of the positive half; and the before/after order of the profile test is
+    checked as each negative step is placed, back to front.
     """
     check_count_params(n, r, d)
     m = n * r
@@ -827,18 +803,14 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
 
     def neg_halves(a: tuple[int, ...]):
         same, lower = occurrence_profile(Walk(d, a, ()))
-        # one constraint per positive position with value > 1:
-        # (value c, same-count k, lower-count l); the l-th-to-last c-1 in the
-        # negative half must come before the k-th-to-last c
-        constraints = sorted(
-            {(a[i], same[i], lower[i]) for i in range(m) if a[i] > 1}
-        )
-        sat_map: dict[tuple[int, int], list[int]] = {}
-        vio_map: dict[tuple[int, int], list[int]] = {}
-        for cid, (c, k, l) in enumerate(constraints):
-            sat_map.setdefault((c, k), []).append(cid)
-            vio_map.setdefault((c - 1, l), []).append(cid)
-        pending = set(range(len(constraints)))
+        # a positive position with value c > 1, same-count k and lower-count
+        # l needs the l-th-to-last c-1 of the negative half before its
+        # k-th-to-last c.  Filled back to front, that c-1 is placed too late
+        # iff fewer than k c's are placed, so need keeps the largest k.
+        need: dict[tuple[int, int], int] = {}
+        for c, k, l in zip(a, same, lower):
+            if c > 1 and k > need.get((c - 1, l), 0):
+                need[(c - 1, l)] = k
         remaining = Counter(a)
         values_present = sorted(remaining)
         suffix = [0] * (d + 2)
@@ -858,24 +830,14 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
                 if p % r != 0 and v < buf[p]:
                     continue
                 seen = suffix[v] + 1
-                resolved = []
-                dead = False
-                for cid in sat_map.get((v, seen), ()):
-                    if cid in pending:
-                        pending.discard(cid)
-                        resolved.append(cid)
-                for cid in vio_map.get((v, seen), ()):
-                    if cid in pending:
-                        dead = True
-                        break
-                if not dead:
-                    buf[p - 1] = v
-                    remaining[v] -= 1
-                    suffix[v] = seen
-                    yield from place(p - 1)
-                    remaining[v] += 1
-                    suffix[v] = seen - 1
-                pending.update(resolved)
+                if suffix[v + 1] < need.get((v, seen), 0):
+                    continue
+                buf[p - 1] = v
+                remaining[v] -= 1
+                suffix[v] = seen
+                yield from place(p - 1)
+                remaining[v] += 1
+                suffix[v] = seen - 1
 
         yield from place(m)
 

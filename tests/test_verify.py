@@ -331,6 +331,30 @@ def test_identity_budget_matches_the_sum_of_method_costs():
     assert verify_matching_identity(2, 2, 2, budget=18 + 24 + 9 + 18).passed
 
 
+def test_walk_scaling_budget_is_the_sum_of_its_layer_costs():
+    # all-walks DP, the r = 1 representative shape DP and the m! * m LIS
+    # enumeration, written out at (m, d) = (5, 4)
+    estimate = 4 * 5 * 4 * comb(14, 4) + 5 * 4 * comb(9, 4) + factorial(5) * 5
+    assert verify_walk_scaling(5, 4, budget=estimate).passed
+    with pytest.raises(BudgetExceeded) as refused:
+        verify_walk_scaling(5, 4, budget=estimate - 1)
+    assert f"estimated {estimate} nodes" in str(refused.value)
+
+
+def test_walk_scaling_refuses_the_twelve_factorial_enumeration():
+    with pytest.raises(BudgetExceeded):
+        verify_walk_scaling(12, 2)
+
+
+def test_gessel_budget_is_the_sum_of_its_layer_costs():
+    # the 3 x 3 determinant to degree 10, and k! * k for each LIS count k <= 5
+    estimate = 3 * 2**2 * 11**2 + sum(factorial(k) * k for k in range(6))
+    assert verify_gessel_identity(3, 10, budget=estimate).passed
+    with pytest.raises(BudgetExceeded) as refused:
+        verify_gessel_identity(3, 10, budget=estimate - 1)
+    assert f"estimated {estimate} nodes" in str(refused.value)
+
+
 @pytest.mark.parametrize("method", list(METHODS))
 def test_count_graphs_refuses_exactly_above_cost(method):
     n, r, d, kind = 2, 2, 3, "subgraph"

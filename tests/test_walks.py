@@ -43,6 +43,7 @@ from planarcount.walks import (
     stays_in_dominance_region,
     toeplitz_point,
     translated_exit,
+    weakly_decreasing_blocks,
 )
 
 WORKED_LIFT = (6, 4, 2, 1, 5, 3)
@@ -100,6 +101,48 @@ def test_dominance_region():
     assert stays_in_dominance_region(Walk(d=2, pos=(1, 1, 2, 1), neg=()))
     assert not stays_in_dominance_region(Walk(d=2, pos=(2,), neg=()))
     assert stays_in_dominance_region(Walk(d=3, pos=(), neg=()))
+
+
+def prefix_point_region_test(w):
+    """The dominance region by its definition: every visited point, the
+    start included, has x_1 >= x_2 >= ... >= x_d."""
+    point = [0] * w.d
+    points = [tuple(point)]
+    for v, step in [(v, 1) for v in w.pos] + [(v, -1) for v in w.neg]:
+        point[v - 1] += step
+        points.append(tuple(point))
+    return all(all(p[i] >= p[i + 1] for i in range(w.d - 1)) for p in points)
+
+
+def two_length_reversed_family(w, r):
+    """The reversed family by its definition: equal halves of a multiple of
+    r steps, weakly decreasing positive blocks and weakly increasing
+    negative blocks."""
+    if len(w.pos) != len(w.neg) or len(w.pos) % r:
+        return False
+    return weakly_decreasing_blocks(w.pos, r) and weakly_decreasing_blocks(
+        w.neg[::-1], r
+    )
+
+
+def small_walks():
+    """Every walk with d <= 4, at most 4 positive and at most 3 negative
+    steps."""
+    for d in range(5):
+        for p, q in product(range(5), range(4)):
+            for pos in product(range(1, d + 1), repeat=p):
+                for neg in product(range(1, d + 1), repeat=q):
+                    yield Walk(d=d, pos=pos, neg=neg)
+
+
+def test_region_and_reversed_family_match_their_definitions():
+    walks = 0
+    for w in small_walks():
+        assert stays_in_dominance_region(w) == prefix_point_region_test(w), w.to_text()
+        for r in (1, 2, 3):
+            assert in_reversed_family(w, r) == two_length_reversed_family(w, r)
+        walks += 1
+    assert walks == 34_311
 
 
 def test_reverse_negative_half():
@@ -541,6 +584,17 @@ def test_profile_condition_characterizes_images(m, d):
 
 
 # ----------------------------------------------------------- involution (second)
+
+
+@given(
+    st.integers(0, 40).flatmap(lambda m: st.permutations(list(range(1, m + 1))))
+)
+@settings(max_examples=100, deadline=None)
+def test_profile_lemma_to_40(perm):
+    perm = tuple(perm)
+    w = profile_walk(perm)
+    assert profile_violations(w) == ()
+    assert crossing_pairing(w).as_permutation() == perm
 
 
 def test_nonprofile_involution_hand_example():
