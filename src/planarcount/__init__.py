@@ -28,7 +28,6 @@ from .tableaux import (
     YoungTableau,
     blocks_strictly_below,
     blocks_weakly_above,
-    column_walk,
     column_word,
     count_tableau_pairs,
     enumerate_tableaux,

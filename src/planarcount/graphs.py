@@ -47,10 +47,6 @@ class Multigraph:
         if not set(map(sum, zip(*rows))) <= {r}:
             raise ValueError("every column sum must equal r")
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.rows[i - 1][j - 1]
-
     def to_text(self) -> str:
         return ";".join(",".join(str(x) for x in row) for row in self.rows)
 

@@ -7,7 +7,6 @@ increase along rows and down columns.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -69,17 +68,6 @@ class YoungTableau:
     def to_text(self) -> str:
         inner = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in self.rows)
         return "[" + inner + "]"
-
-    @classmethod
-    def from_text(cls, text: str) -> "YoungTableau":
-        text = re.sub(r"\s+", "", text)
-        if not re.fullmatch(r"\[(\[\d+(,\d+)*\])(,\[\d+(,\d+)*\])*\]", text):
-            raise ValueError(f"malformed tableau text: {text!r}")
-        rows = tuple(
-            tuple(int(x) for x in part.split(","))
-            for part in re.findall(r"\[([\d,]+)\]", text[1:-1])
-        )
-        return cls(rows)
 
 
 EMPTY_TABLEAU = YoungTableau(rows=())
@@ -189,9 +177,6 @@ def _block_row_word(t: YoungTableau, n: int, r: int) -> list[int]:
 
 def iter_partitions(m: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Partitions of m with every part <= max_part, largest-first order."""
-    if m == 0:
-        yield ()
-        return
 
     def rec(remaining, cap, acc):
         if remaining == 0:
@@ -213,9 +198,6 @@ def enumerate_tableaux(m: int, d: int) -> Iterator[YoungTableau]:
     shorter than its part and than row i-1, topmost row first.
     """
     check_length_params(m, d)
-    if m == 0:
-        yield EMPTY_TABLEAU
-        return
     for shape in iter_partitions(m, d):
         rows = [[] for _ in shape]
 
@@ -261,20 +243,6 @@ def count_tableau_pairs(n: int, r: int, d: int, kind: str = "matching") -> int:
 def tableau_pairs_cost(n: int, r: int) -> int:
     """Bound on the tableaux `count_tableau_pairs` enumerates: (rn)!."""
     return factorial(n * r)
-
-
-def column_walk(t: YoungTableau, d: int | None = None):
-    """Positive-only walk reading off the column of each entry 1..m.
-
-    For tableaux with at most d columns the walk moves only in positive
-    directions and stays in the dominance region x_1 >= ... >= x_d; it
-    satisfies the weak block-decrease condition exactly when the tableau has
-    strict block descents.
-    """
-    word = column_word(t)
-    if d is None:
-        d = max(1, t.column_count)
-    return Walk(d=d, pos=word, neg=())
 
 
 def pair_walk(p: YoungTableau, q: YoungTableau, d: int | None = None):

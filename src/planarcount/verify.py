@@ -5,9 +5,9 @@ reports whether all routes agree exactly.  Audits enumerate both sides of a
 claimed bijection (or the whole domain of an involution) and check the maps
 witness by witness.  All reports are deterministic apart from elapsed_ms.
 
-Verifiers refuse to start when a cheap upper bound on the work exceeds the
-node budget; a refusal raises BudgetExceeded and never returns a partial
-count.
+Verifiers and audits refuse to start when a cheap upper bound on the work
+exceeds the node budget; the bound is checked once, before any work, so a
+refusal raises BudgetExceeded and never returns a partial count.
 """
 
 from __future__ import annotations
@@ -509,7 +509,7 @@ def audit_bijections(
         walks_from_pairs.add(w)
         if endpoint(w) != (0,) * w.d:
             note(f"pair walk {w.to_text()} is not closed")
-    region_walks = set(iter_region_walks(n, r, d, budget=budget))
+    region_walks = set(iter_region_walks(n, r, d))
     if walks_from_pairs != region_walks:
         note(
             f"walk sets differ: {len(walks_from_pairs)} from pairs vs "
@@ -541,7 +541,7 @@ def audit_bijections(
     if len(images) != len(bounded):
         note("profile map is not injective")
     direct_walks = set()
-    for w in iter_profile_walks(n, r, d, budget=budget):
+    for w in iter_profile_walks(n, r, d):
         if not is_profile_walk(w):
             note(f"enumerated walk {w.to_text()} fails the profile test")
         direct_walks.add(w)

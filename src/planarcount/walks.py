@@ -308,8 +308,8 @@ def iter_restricted_family(n: int, r: int, d: int) -> Iterator[tuple[Walk, int]]
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a computation refuses to start or continue because its
-    node budget would be exceeded.  No partial result is returned."""
+    """Raised when a computation refuses to start because its node budget
+    would be exceeded.  No partial result is returned."""
 
 
 def require_budget(estimate: int, budget: int | None, what: str) -> None:
@@ -318,14 +318,6 @@ def require_budget(estimate: int, budget: int | None, what: str) -> None:
         raise BudgetExceeded(
             f"{what}: estimated {estimate} nodes exceeds budget {budget}"
         )
-
-
-def _spend(state: list, amount: int, what: str) -> None:
-    if state is None:
-        return
-    state[0] -= amount
-    if state[0] < 0:
-        raise BudgetExceeded(f"{what} exceeded the node budget")
 
 
 @lru_cache(maxsize=None)
@@ -499,7 +491,6 @@ def signed_walk_sum(
     d: int,
     kind: str = "matching",
     counter: str = "dp",
-    budget: int | None = None,
 ) -> int:
     """Signed count of restricted representative walks over all Toeplitz
     endpoints: sum over pi of sgn(pi) |{walks of length 2rn to T(pi)}|.
@@ -511,7 +502,6 @@ def signed_walk_sum(
     block at a time to signed shape counts and never forms a histogram.
     """
     check_count_params(n, r, d)
-    require_budget(signed_walk_cost(n, r, d, kind, counter), budget, "signed walk sum")
     if counter == "enumerate":
         shapes = _fold_into_shapes(_half_profiles_enumerate(n, r, d, kind), d)
     else:
@@ -520,12 +510,19 @@ def signed_walk_sum(
 
 
 def all_walks_cost(m: int, d: int) -> int:
-    """Upper bound on the work of `count_all_walks_signed`: 2m steps that
-    each move every kept shape 2d ways.  After k steps a kept shape y has
-    sum |y_i - i| <= min(k, 2m - k) <= m, so y - delta is a weakly
-    increasing sequence with entries in [-m, m], of which there are
-    C(2m + d, d)."""
-    return 4 * m * d * comb(2 * m + d, d)
+    """Upper bound on the work of `count_all_walks_signed`: m steps that
+    each move every shape 2d ways.  After k <= m steps a shape y has
+    y - delta weakly increasing with l1 norm <= k, so its entries lie in
+    [-m, m], which allows C(2m + d, d) sequences, and its negative and
+    positive parts are two partitions whose sizes sum to at most m, which
+    allows the sum of p(a) p(b) over a + b <= m, with p the partition
+    count."""
+    p = [1] + [0] * m
+    for part in range(1, m + 1):
+        for k in range(part, m + 1):
+            p[k] += p[k - part]
+    pairs = sum(map(mul, p, reversed(list(accumulate(p)))))
+    return 2 * m * d * min(comb(2 * m + d, d), pairs)
 
 
 def count_all_walks_signed(m: int, d: int) -> int:
@@ -537,16 +534,16 @@ def count_all_walks_signed(m: int, d: int) -> int:
     the signed number of walks from delta to a permutation of delta.  The
     step set is also closed under permuting directions, so the dynamic
     program runs on sorted shapes, as `_shape_counts_dp` does, starting
-    from delta and reading the count at delta.  A unit step cannot carry an
-    entry past its neighbour: it either keeps the shape sorted (sign +1) or
-    makes a tie, whose terms cancel.  So every kept move has sign +1, and
-    the count is the number of closed walks from delta that keep the entries
-    strictly increasing.  Shapes farther from delta (in l1) than the steps
-    left cannot return and are dropped."""
+    from delta.  A unit step cannot carry an entry past its neighbour: it
+    either keeps the shape sorted (sign +1) or makes a tie, whose terms
+    cancel.  So the count is the number of closed walks from delta that
+    keep the entries strictly increasing.  Such a walk splits at step m
+    into two walks of length m from delta to one shape y, the second one
+    reversed, which the symmetric step set allows; with a(y) the number of
+    length-m walks from delta to y, the count is the sum of a(y)^2."""
     check_length_params(m, d)
-    delta = tuple(range(d))
-    shapes: dict[tuple[int, ...], int] = {delta: 1}
-    for left in range(2 * m - 1, -1, -1):
+    shapes: dict[tuple[int, ...], int] = {tuple(range(d)): 1}
+    for _ in range(m):
         nxt: dict[tuple[int, ...], int] = {}
         for shape, ways in shapes.items():
             for j, y in enumerate(shape):
@@ -556,12 +553,8 @@ def count_all_walks_signed(m: int, d: int) -> int:
                 if j == d - 1 or y + 1 < shape[j + 1]:
                     key = shape[:j] + (y + 1,) + shape[j + 1 :]
                     nxt[key] = nxt.get(key, 0) + ways
-        shapes = {
-            key: ways
-            for key, ways in nxt.items()
-            if sum(abs(y - k) for y, k in zip(key, delta)) <= left
-        }
-    return shapes.get(delta, 0)
+        shapes = nxt
+    return sum(c * c for c in shapes.values())
 
 
 # ------------------------------------------------- configuration <-> walks
@@ -785,7 +778,7 @@ def offregion_involution(w: Walk, r: int) -> Walk:
 # ------------------------------------------- pruned audit-grade enumerators
 
 
-def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
+def iter_profile_walks(n: int, r: int, d: int):
     """Every restricted walk of length 2rn ending at a Toeplitz point that is
     a prefix matching profile, by pruned backtracking.
 
@@ -798,7 +791,6 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
     """
     check_count_params(n, r, d)
     m = n * r
-    state = [budget] if budget is not None else None
     pos_acc: list[int] = []
 
     def neg_halves(a: tuple[int, ...]):
@@ -818,8 +810,6 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
 
         def place(p: int):
             # positions filled from m down to 1
-            if state is not None:
-                _spend(state, 1, "profile-walk enumeration")
             if p == 0:
                 yield tuple(buf)
                 return
@@ -842,8 +832,6 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
         yield from place(m)
 
     def grow(i: int, prev_in_block: int | None, max_seen: int):
-        if state is not None:
-            _spend(state, 1, "profile-walk enumeration")
         if i == m:
             a = tuple(pos_acc)
             for b in neg_halves(a):
@@ -858,27 +846,18 @@ def iter_profile_walks(n: int, r: int, d: int, budget: int | None = None):
             yield from grow(i + 1, nxt_prev, max(max_seen, v))
             pos_acc.pop()
 
-    if m == 0:
-        yield Walk(d=d, pos=(), neg=())
-        return
     yield from grow(0, None, 0)
 
 
-def iter_region_walks(n: int, r: int, d: int, budget: int | None = None):
+def iter_region_walks(n: int, r: int, d: int):
     """Every closed reversed-family walk of length 2rn staying in the
     dominance region x_1 >= ... >= x_d, by pruned backtracking."""
     check_count_params(n, r, d)
     m = n * r
-    state = [budget] if budget is not None else None
-    if m == 0:
-        yield Walk(d=d, pos=(), neg=())
-        return
     pos_acc: list[int] = []
     hist = [0] * (d + 2)
 
     def grow_neg(a: tuple[int, ...], point: list[int], buf: list[int], p: int):
-        if state is not None:
-            _spend(state, 1, "region-walk enumeration")
         if p == m:
             yield Walk(d=d, pos=a, neg=tuple(buf))
             return
@@ -897,8 +876,6 @@ def iter_region_walks(n: int, r: int, d: int, budget: int | None = None):
             point[v - 1] += 1
 
     def grow_pos(i: int):
-        if state is not None:
-            _spend(state, 1, "region-walk enumeration")
         if i == m:
             a = tuple(pos_acc)
             yield from grow_neg(a, hist[1 : d + 1], [], 0)

@@ -1,11 +1,13 @@
 import ast
+import inspect
 import json
 from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
-from planarcount import verify
+from planarcount import graphs, series, tableaux, verify, walks
+from planarcount.graphs import enumeration_cost
 from planarcount.tableaux import count_tableau_pairs, iter_block_tableaux
 from planarcount.verify import (
     METHODS,
@@ -332,9 +334,11 @@ def test_identity_budget_matches_the_sum_of_method_costs():
 
 
 def test_walk_scaling_budget_is_the_sum_of_its_layer_costs():
-    # all-walks DP, the r = 1 representative shape DP and the m! * m LIS
+    # all-walks DP (2md moves times the 74 pairs of partitions of total size
+    # <= 5), the r = 1 representative shape DP and the m! * m LIS
     # enumeration, written out at (m, d) = (5, 4)
-    estimate = 4 * 5 * 4 * comb(14, 4) + 5 * 4 * comb(9, 4) + factorial(5) * 5
+    estimate = 2 * 5 * 4 * 74 + 5 * 4 * comb(9, 4) + factorial(5) * 5
+    assert estimate == 6080
     assert verify_walk_scaling(5, 4, budget=estimate).passed
     with pytest.raises(BudgetExceeded) as refused:
         verify_walk_scaling(5, 4, budget=estimate - 1)
@@ -353,6 +357,38 @@ def test_gessel_budget_is_the_sum_of_its_layer_costs():
     with pytest.raises(BudgetExceeded) as refused:
         verify_gessel_identity(3, 10, budget=estimate - 1)
     assert f"estimated {estimate} nodes" in str(refused.value)
+
+
+def test_bijection_audit_budget_is_its_up_front_estimate():
+    # the multigraph enumeration bound plus (rn)! * (rn + 1), at (2, 2, 2)
+    estimate = enumeration_cost(2, 2) + factorial(4) * 5
+    assert estimate == 138
+    assert audit_bijections(2, 2, 2, budget=estimate).passed
+    with pytest.raises(BudgetExceeded) as refused:
+        audit_bijections(2, 2, 2, budget=estimate - 1)
+    assert f"estimated {estimate} nodes" in str(refused.value)
+
+
+def test_bijection_audit_admitted_is_never_refused_later():
+    # the estimate is 2 + 1! * 2 = 3 at rn = 1; the walk generators the
+    # audit runs keep no budget of their own, so nothing refuses mid-run
+    for d in range(3):
+        assert audit_bijections(1, 1, d, budget=3).passed
+
+
+def test_only_the_refusal_helper_below_the_entry_points_takes_a_budget():
+    # budgets are checked at the entry points in verify and cli, before any
+    # work; the layers below them only price their work
+    taking = [
+        f"{module.__name__}.{name}"
+        for module in (graphs, walks, tableaux, series)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == module.__name__
+        and not name.startswith("_")
+        and "budget" in inspect.signature(fn).parameters
+    ]
+    assert taking == ["planarcount.walks.require_budget"]
 
 
 @pytest.mark.parametrize("method", list(METHODS))
