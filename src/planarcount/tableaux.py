@@ -11,6 +11,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
+from operator import ge, lt
 from typing import Iterator
 
 from .graphs import check_count_params, check_kind, check_length_params
@@ -23,20 +24,21 @@ class YoungTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        lengths = [len(row) for row in self.rows]
-        if any(length == 0 for length in lengths):
+        rows = self.rows
+        lengths = list(map(len, rows))
+        if 0 in lengths:
             raise ValueError("empty rows are not allowed")
-        if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
+        if any(map(lt, lengths, lengths[1:])):
             raise ValueError("row lengths must weakly decrease")
-        entries = [x for row in self.rows for x in row]
+        entries = [x for row in rows for x in row]
         if len(set(entries)) != len(entries):
             raise ValueError("entries must be distinct")
-        for row in self.rows:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+        for row in rows:
+            if any(map(ge, row, row[1:])):
                 raise ValueError("rows must increase left to right")
-        for i in range(len(self.rows) - 1):
-            upper, lower = self.rows[i], self.rows[i + 1]
-            if any(upper[j] >= lower[j] for j in range(len(lower))):
+        # row lengths weakly decrease, so each pair stops at the lower row
+        for upper, lower in zip(rows, rows[1:]):
+            if any(map(ge, upper, lower)):
                 raise ValueError("columns must increase top to bottom")
 
     @property
@@ -253,7 +255,13 @@ def pair_walk(p: YoungTableau, q: YoungTableau, d: int | None = None):
         raise ValueError("tableaux must have the same shape")
     if d is None:
         d = max(1, p.column_count)
-    return Walk(d=d, pos=column_word(p), neg=column_word(q)[::-1])
+    return column_words_walk(column_word(p), column_word(q), d)
+
+
+def column_words_walk(p_word: tuple[int, ...], q_word: tuple[int, ...], d: int):
+    """`pair_walk` of the tableaux with column words p_word and q_word, for
+    callers that read each tableau's word once and pair it many times."""
+    return Walk(d=d, pos=p_word, neg=q_word[::-1])
 
 
 def column_word(t: YoungTableau) -> tuple[int, ...]:
@@ -282,7 +290,7 @@ def tableau_from_column_word(word, d: int) -> YoungTableau:
     columns: dict[int, list[int]] = {}
     for i, value in enumerate(word, start=1):
         columns.setdefault(value, []).append(i)
-    height = counts[1]
+    height = len(columns.get(1, ()))
     rows = []
     for i in range(height):
         row = [columns[l][i] for l in sorted(columns) if len(columns[l]) > i]

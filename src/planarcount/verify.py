@@ -35,9 +35,10 @@ from .graphs import (
 from .series import bessel_series, determinant_cost, series_determinant
 from .tableaux import (
     blocks_strictly_below,
+    column_word,
+    column_words_walk,
     count_tableau_pairs,
     iter_block_tableaux,
-    pair_walk,
     rsk,
     rsk_inverse,
     tableau_from_column_word,
@@ -503,12 +504,17 @@ def audit_bijections(
         )
 
     # --- pairs <-> region-staying closed walks
+    # every tableau's column word is read once and paired with its group's
     walks_from_pairs = set()
-    for p, q in pairs_direct:
-        w = pair_walk(p, q, d=d)
-        walks_from_pairs.add(w)
-        if endpoint(w) != (0,) * w.d:
-            note(f"pair walk {w.to_text()} is not closed")
+    closed = (0,) * d
+    for group in by_shape.values():
+        words = [column_word(t) for t in group]
+        for p_word in words:
+            for q_word in words:
+                w = column_words_walk(p_word, q_word, d)
+                walks_from_pairs.add(w)
+                if endpoint(w) != closed:
+                    note(f"pair walk {w.to_text()} is not closed")
     region_walks = set(iter_region_walks(n, r, d))
     if walks_from_pairs != region_walks:
         note(
@@ -528,23 +534,32 @@ def audit_bijections(
     for w in region_walks:
         p = tableau(w.pos)
         q = tableau(w.neg[::-1])
-        if m and (p, q) not in pairs_direct:
+        if (p, q) not in pairs_direct:
             note(f"region walk {w.to_text()} has no matching pair")
             break
 
     # --- profile walks
     images = set()
+    # images the lift side has verified: `_lift_facts` ran the profile test
+    # and the crossing pairing on the same halves, and building the image at
+    # d bounds its lift's largest planar matching, max(facts.left), by d
+    verified = set()
     for _, facts in bounded:
-        images.add(Walk(d=d, pos=facts.left, neg=facts.right))
+        w = Walk(d=d, pos=facts.left, neg=facts.right)
+        images.add(w)
         for why in facts.profile_notes:
             note(why)
+        if not facts.profile_notes:
+            verified.add(w)
     if len(images) != len(bounded):
         note("profile map is not injective")
     direct_walks = set()
     for w in iter_profile_walks(n, r, d):
+        direct_walks.add(w)
+        if w in verified:
+            continue
         if not is_profile_walk(w):
             note(f"enumerated walk {w.to_text()} fails the profile test")
-        direct_walks.add(w)
         config = crossing_pairing(w)
         if not config.is_complete:
             note(f"profile walk {w.to_text()} is not closed")

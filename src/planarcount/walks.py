@@ -35,6 +35,7 @@ from itertools import (
     accumulate,
     combinations,
     combinations_with_replacement,
+    pairwise,
     permutations,
 )
 from math import comb
@@ -108,13 +109,15 @@ class QuasiConfiguration:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        lefts = [a for a, _ in self.pairs]
-        rights = [b for _, b in self.pairs]
-        if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
+        m, k = self.m, len(self.pairs)
+        lefts = {a for a, _ in self.pairs}
+        rights = {b for _, b in self.pairs}
+        if len(lefts) != k or len(rights) != k:
             raise ValueError("pairing must be injective")
-        for a, b in self.pairs:
-            if not (1 <= a <= self.m and 1 <= b <= self.m):
-                raise ValueError("nodes must lie in [m]")
+        if k and not (
+            1 <= min(lefts) and max(lefts) <= m and 1 <= min(rights) and max(rights) <= m
+        ):
+            raise ValueError("nodes must lie in [m]")
 
     @property
     def is_complete(self) -> bool:
@@ -585,21 +588,21 @@ def crossing_pairing(w: Walk) -> QuasiConfiguration:
     last min(|A|,|B|) of B, when B is longer) are joined first-to-last, so
     that any two edges from the same value cross.  The result is a complete
     pairing exactly when the walk is closed.
+
+    So the i-th positive k is joined to the i-th-to-last negative k, when
+    there is one, and the pairs come out in left-node order.
     """
     if len(w.pos) != len(w.neg):
         raise ValueError("need equally many positive and negative steps")
-    a_sets = _value_positions(w.pos)
-    b_sets = _value_positions(w.neg)
+    at = _value_positions(w.neg)
+    seen: dict[int, int] = {}
     pairs = []
-    for k in sorted(set(a_sets) | set(b_sets)):
-        a = a_sets.get(k, [])
-        b = b_sets.get(k, [])
-        if len(a) >= len(b):
-            chosen_a, chosen_b = a[: len(b)], b
-        else:
-            chosen_a, chosen_b = a, b[len(b) - len(a) :]
-        pairs.extend(zip(chosen_a, reversed(chosen_b)))
-    return QuasiConfiguration(m=len(w.pos), pairs=tuple(sorted(pairs)))
+    for a, k in enumerate(w.pos, start=1):
+        i = seen[k] = seen.get(k, 0) + 1
+        b = at.get(k, ())
+        if i <= len(b):
+            pairs.append((a, b[-i]))
+    return QuasiConfiguration(m=len(w.pos), pairs=tuple(pairs))
 
 
 def occurrence_profile(w: Walk) -> OccurrenceProfile:
@@ -661,20 +664,25 @@ def _toeplitz_preimage(point) -> tuple[int, ...]:
     return check_permutation(tuple(j - point[j - 1] for j in range(1, len(point) + 1)))
 
 
-def _reassign_block(values: list, positions: list[int], high: int, hi_first: bool):
-    """Swap the multiplicities of `high` and `high-1` on `positions`, writing
-    the larger value first (hi_first) or last."""
-    if not positions:
-        return
-    n_high = sum(1 for s in positions if values[s - 1] == high)
-    n_low = len(positions) - n_high
-    # counts swap: old lows become highs and vice versa
-    if hi_first:
-        new_vals = [high] * n_low + [high - 1] * n_high
-    else:
-        new_vals = [high - 1] * n_high + [high] * n_low
-    for s, v in zip(positions, new_vals):
-        values[s - 1] = v
+def _swap_in_blocks(
+    half: tuple[int, ...], lo: int, hi: int, high: int, r: int, descending: bool
+) -> tuple[int, ...]:
+    """Swap the multiplicities of `high` and `high-1` on the 0-based range
+    [lo, hi) of a half, inside every block of r positions, writing the
+    larger value first (descending) or last.
+
+    Every block of the half must already be monotone in that direction, so
+    a block's piece of the range holds its high-1's and high's next to each
+    other: exchanging the two values over the whole range, then sorting each
+    piece again, swaps their multiplicities in every block at once."""
+    low = high - 1
+    out = list(half)
+    out[lo:hi] = [low + high - v if low <= v <= high else v for v in out[lo:hi]]
+    if r > 1:
+        cuts = [lo, *range(lo - lo % r + r, hi, r), hi]
+        for start, stop in pairwise(cuts):
+            out[start:stop] = sorted(out[start:stop], reverse=descending)
+    return tuple(out)
 
 
 def nonprofile_involution(w: Walk, r: int) -> Walk:
@@ -690,7 +698,6 @@ def nonprofile_involution(w: Walk, r: int) -> Walk:
     m = len(w.pos)
     if len(w.neg) != m or m % r:
         raise ValueError("need rn positive and rn negative steps")
-    n = m // r
     if not in_restricted_family(w, r, "matching"):
         raise ValueError("walk does not satisfy the block conditions")
     _toeplitz_preimage(endpoint(w))
@@ -709,19 +716,9 @@ def nonprofile_involution(w: Walk, r: int) -> Walk:
     else:
         v_bar = at[c - 1][-l]
 
-    new_pos = list(w.pos)
-    new_neg = list(w.neg)
-    for i in range(n):
-        block = range(i * r + 1, (i + 1) * r + 1)
-        pos_positions = [
-            s for s in block if s > u and w.pos[s - 1] in (c - 1, c)
-        ]
-        _reassign_block(new_pos, pos_positions, c, hi_first=True)
-        neg_positions = [
-            s for s in block if s < v_bar and w.neg[s - 1] in (c - 1, c)
-        ]
-        _reassign_block(new_neg, neg_positions, c, hi_first=True)
-    return Walk(d=w.d, pos=tuple(new_pos), neg=tuple(new_neg))
+    pos = _swap_in_blocks(w.pos, u, m, c, r, descending=True)
+    neg = _swap_in_blocks(w.neg, 0, v_bar - 1, c, r, descending=True)
+    return Walk(d=w.d, pos=pos, neg=neg)
 
 
 def translated_exit(w: Walk) -> tuple[int, int] | None:
@@ -758,7 +755,6 @@ def offregion_involution(w: Walk, r: int) -> Walk:
     m = len(w.pos)
     if len(w.neg) != m or m % r:
         raise ValueError("need rn positive and rn negative steps")
-    n = m // r
     if not in_reversed_family(w, r):
         raise ValueError("walk does not satisfy the reversed block conditions")
     _toeplitz_preimage(endpoint(w))
@@ -767,12 +763,9 @@ def offregion_involution(w: Walk, r: int) -> Walk:
         raise ValueError("walk stays in the region; not in the domain")
     t, j = exit_info
 
-    values = list(w.pos) + list(w.neg)
-    for i in range(2 * n):
-        block = range(i * r + 1, (i + 1) * r + 1)
-        positions = [s for s in block if s > t and values[s - 1] in (j, j + 1)]
-        _reassign_block(values, positions, j + 1, hi_first=(i < n))
-    return Walk(d=w.d, pos=tuple(values[:m]), neg=tuple(values[m:]))
+    pos = _swap_in_blocks(w.pos, min(t, m), m, j + 1, r, descending=True)
+    neg = _swap_in_blocks(w.neg, max(t - m, 0), m, j + 1, r, descending=False)
+    return Walk(d=w.d, pos=pos, neg=neg)
 
 
 # ------------------------------------------- pruned audit-grade enumerators

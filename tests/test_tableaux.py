@@ -92,6 +92,22 @@ def test_tableau_validation():
         T((2, 3), (1,))  # column not increasing
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # each input also breaks every later check, so the first check wins
+        (((2, 2), (1,), ()), "empty rows are not allowed"),
+        (((2,), (2, 1)), "row lengths must weakly decrease"),
+        (((2, 2), (1,)), "entries must be distinct"),
+        (((3, 1), (2,)), "rows must increase left to right"),
+        (((2,), (1,)), "columns must increase top to bottom"),
+    ],
+)
+def test_tableau_rejections_in_check_order(rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        YoungTableau(rows)
+
+
 def test_text_round_trip():
     t = T((1, 3), (2,), (4,))
     assert t.to_text() == "[[1,3],[2],[4]]"
@@ -384,6 +400,12 @@ def test_column_word_round_trip_examples():
         tableau_from_column_word((2, 1), 2)  # leaves the region
     with pytest.raises(ValueError):
         tableau_from_column_word((1, 3), 2)  # direction out of range
+
+
+def test_empty_column_word_is_the_empty_tableau():
+    for d in range(3):
+        assert tableau_from_column_word((), d) == EMPTY_TABLEAU
+    assert column_word(EMPTY_TABLEAU) == ()
 
 
 def test_column_word_round_trip_exhaustive():

@@ -259,6 +259,61 @@ def test_bijection_audit_reports_a_profile_walk_mapped_out_of_bounds():
     assert audit_bijections(3, 1, 1).passed
 
 
+def test_bijection_audit_notes_an_enumerated_walk_that_is_no_profile():
+    # the walk side still checks every enumerated walk that is not the
+    # image of a lift the lift side has verified
+    real = verify.iter_profile_walks
+    stray = Walk.from_text("12|21")
+
+    def with_stray(n, r, d):
+        yield from real(n, r, d)
+        yield stray
+
+    verify.iter_profile_walks = with_stray
+    try:
+        report = audit_bijections(2, 1, 2)
+    finally:
+        verify.iter_profile_walks = real
+    assert not report.passed
+    assert report.witness == "enumerated walk 12|21 fails the profile test"
+    assert report.methods["profile_walks"] == 3
+    # the profile test, the round trip of its pairing (2, 1), and the sets
+    assert report.methods["failures"] == 3
+
+
+def test_bijection_audit_pairs_each_profile_walk_once():
+    # a walk the lift side has verified is not paired again on the walk side
+    real = verify.crossing_pairing
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return real(w)
+
+    verify.crossing_pairing = counting
+    verify._lift_facts.cache_clear()
+    try:
+        report = audit_bijections(4, 1, 4)
+    finally:
+        verify.crossing_pairing = real
+        verify._lift_facts.cache_clear()
+    assert report.passed
+    assert len(calls) == report.methods["configurations"] == 24
+
+
+def test_bijection_audit_at_the_empty_size():
+    for d in range(3):
+        report = audit_bijections(0, 1, d)
+        assert report.passed, d
+        assert report.methods == {
+            "configurations": 1,
+            "tableau_pairs": 1,
+            "region_walks": 1,
+            "profile_walks": 1,
+            "failures": 0,
+        }
+
+
 def test_bijection_audit_examples():
     report = audit_bijections(2, 2, 2)
     assert report.passed

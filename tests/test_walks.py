@@ -4,7 +4,7 @@ from itertools import compress, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from planarcount.graphs import (
     count_bounded_lis,
@@ -13,6 +13,7 @@ from planarcount.graphs import (
 )
 from planarcount.perms import iter_permutations, perm_sign
 from planarcount.walks import (
+    QuasiConfiguration,
     Walk,
     _block_choices,
     _fold_into_shapes,
@@ -29,6 +30,7 @@ from planarcount.walks import (
     is_toeplitz_point,
     iter_profile_walks,
     iter_region_walks,
+    iter_restricted_family,
     iter_restricted_walks,
     iter_toeplitz,
     nonprofile_involution,
@@ -527,6 +529,21 @@ def test_crossing_pairing_worked_example():
     assert not qc.is_complete
 
 
+@pytest.mark.parametrize(
+    "m,pairs,message",
+    [
+        # the first input also leaves [m], so the injectivity check wins
+        (1, ((2, 1), (2, 1)), "pairing must be injective"),
+        (2, ((1, 2), (2, 2)), "pairing must be injective"),
+        (1, ((0, 1),), "nodes must lie in \\[m\\]"),
+        (2, ((1, 3),), "nodes must lie in \\[m\\]"),
+    ],
+)
+def test_quasi_configuration_rejections_in_check_order(m, pairs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QuasiConfiguration(m=m, pairs=pairs)
+
+
 def test_crossing_pairing_small():
     qc = crossing_pairing(Walk.from_text("11|11"))
     assert qc.as_permutation() == (2, 1)
@@ -690,6 +707,140 @@ def test_offregion_involution_is_sign_reversing(n, r, d):
         assert toeplitz_sign_of(out) == -toeplitz_sign_of(w)
         assert translated_exit(out) == translated_exit(w)
         assert offregion_involution(out, r) == w
+
+
+# ------------------------------------------------- involutions, block by block
+
+
+def reference_reassign_block(values, positions, high, hi_first):
+    """Swap the multiplicities of `high` and `high-1` on `positions` (1-based),
+    writing the larger value first (hi_first) or last."""
+    if not positions:
+        return
+    n_high = sum(1 for s in positions if values[s - 1] == high)
+    n_low = len(positions) - n_high
+    if hi_first:
+        new_vals = [high] * n_low + [high - 1] * n_high
+    else:
+        new_vals = [high - 1] * n_high + [high] * n_low
+    for s, v in zip(positions, new_vals):
+        values[s - 1] = v
+
+
+def reference_nonprofile_involution(w, r):
+    """The second involution rewritten one block at a time, on a walk of its
+    domain."""
+    m = len(w.pos)
+    u = profile_violations(w)[0]
+    c = w.pos[u - 1]
+    l = occurrence_profile(w).lower[u - 1]
+    at = [s for s, v in enumerate(w.neg, start=1) if v == c - 1]
+    v_bar = m + 1 if l == 0 else at[-l]
+    new_pos, new_neg = list(w.pos), list(w.neg)
+    for i in range(m // r):
+        block = range(i * r + 1, (i + 1) * r + 1)
+        pos_positions = [s for s in block if s > u and w.pos[s - 1] in (c - 1, c)]
+        reference_reassign_block(new_pos, pos_positions, c, hi_first=True)
+        neg_positions = [
+            s for s in block if s < v_bar and w.neg[s - 1] in (c - 1, c)
+        ]
+        reference_reassign_block(new_neg, neg_positions, c, hi_first=True)
+    return Walk(d=w.d, pos=tuple(new_pos), neg=tuple(new_neg))
+
+
+def reference_offregion_involution(w, r):
+    """The first involution rewritten one block at a time, on a walk of its
+    domain."""
+    m = len(w.pos)
+    t, j = translated_exit(w)
+    values = list(w.pos) + list(w.neg)
+    for i in range(2 * m // r):
+        block = range(i * r + 1, (i + 1) * r + 1)
+        positions = [s for s in block if s > t and values[s - 1] in (j, j + 1)]
+        reference_reassign_block(values, positions, j + 1, hi_first=(i < m // r))
+    return Walk(d=w.d, pos=tuple(values[:m]), neg=tuple(values[m:]))
+
+
+INVOLUTIONS = {
+    # which: (involution, block-loop reference, domain test of a family walk)
+    "second": (
+        nonprofile_involution,
+        reference_nonprofile_involution,
+        lambda w, r: (
+            in_restricted_family(w, r, "matching")
+            and is_toeplitz_point(endpoint(w))
+            and bool(profile_violations(w))
+        ),
+    ),
+    "first": (
+        offregion_involution,
+        reference_offregion_involution,
+        lambda w, r: (
+            in_reversed_family(w, r)
+            and is_toeplitz_point(endpoint(w))
+            and translated_exit(w) is not None
+        ),
+    ),
+}
+
+
+def involution_domain(n, r, d, which):
+    for w, _ in iter_restricted_family(n, r, d):
+        if which == "first":
+            w = reverse_negative_half(w)
+        if INVOLUTIONS[which][2](w, r):
+            yield w
+
+
+def test_involutions_match_block_loop_references_on_the_audit_grid():
+    # every domain walk the benchmark's involution audits map: rn <= 5, d <= 3
+    walks = 0
+    for r in range(1, 6):
+        for n in range(1, 5 // r + 1):
+            for d in range(4):
+                for which, (rho, reference, _) in INVOLUTIONS.items():
+                    for w in involution_domain(n, r, d, which):
+                        assert rho(w, r) == reference(w, r), (which, r, w.to_text())
+                        walks += 1
+    assert walks == 41_628
+
+
+@st.composite
+def involution_domain_walks(draw):
+    """(which, r, walk) with rn <= 12 and d <= 5: a positive half under the
+    block condition, a negative half that reorders its values and sorts
+    each block again (so the walk is closed), drawn until it is in the
+    domain of `which`."""
+    which = draw(st.sampled_from(sorted(INVOLUTIONS)))
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12 // r))
+    d = draw(st.integers(2, 5))
+    values = draw(st.lists(st.integers(1, d), min_size=n * r, max_size=n * r))
+    shuffled = draw(st.permutations(values))
+
+    def blocks_descending(seq):
+        return tuple(
+            v for i in range(0, n * r, r) for v in sorted(seq[i : i + r], reverse=True)
+        )
+
+    w = Walk(d=d, pos=blocks_descending(values), neg=blocks_descending(shuffled))
+    if which == "first":
+        w = reverse_negative_half(w)
+    assume(INVOLUTIONS[which][2](w, r))
+    return which, r, w
+
+
+@given(involution_domain_walks())
+@settings(max_examples=300, deadline=None)
+def test_involutions_past_the_audit_grid(drawn):
+    which, r, w = drawn
+    rho, reference, in_domain = INVOLUTIONS[which]
+    image = rho(w, r)
+    assert image == reference(w, r)
+    assert in_domain(image, r)
+    assert toeplitz_sign_of(image) == -toeplitz_sign_of(w)
+    assert image != w
+    assert rho(image, r) == w
 
 
 # ------------------------------------------------------- audit-grade enumerators
