@@ -70,6 +70,7 @@ from .walks import (
     offregion_involution,
     profile_violations,
     profile_walk,
+    region_halves,
     reverse_negative_half,
     signed_walk_sum,
     stays_in_dominance_region,

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 from math import comb, factorial
 from typing import Callable, NamedTuple
 
@@ -53,12 +54,11 @@ from .walks import (
     in_restricted_family,
     is_profile_walk,
     iter_profile_walks,
-    iter_region_walks,
     iter_restricted_family,
     nonprofile_involution,
     offregion_involution,
-    profile_violations,
     profile_walk,
+    region_halves,
     require_budget,
     reverse_negative_half,
     signed_walk_cost,
@@ -295,7 +295,7 @@ class _LiftFacts(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _interned(t):
-    """One shared object per distinct tableau."""
+    """One shared object per distinct tableau or profile half."""
     return t
 
 
@@ -330,7 +330,13 @@ def _lift_facts(lift: tuple[int, ...], n: int, r: int) -> _LiftFacts:
     back = crossing_pairing(w)
     if not back.is_complete or back.as_permutation() != lift:
         profile_notes.append(f"crossing pairing does not invert the profile of {lift}")
-    return _LiftFacts(pair, w.pos, w.neg, tuple(rsk_notes), tuple(profile_notes))
+    return _LiftFacts(
+        pair,
+        _interned(w.pos),
+        _interned(w.neg),
+        tuple(rsk_notes),
+        tuple(profile_notes),
+    )
 
 
 def audit_involution(
@@ -349,6 +355,11 @@ def audit_involution(
     translation.  Checks: the map stays in the domain, reverses the endpoint
     permutation's sign, squares to the identity, has no fixed point, and the
     domain's signed total is zero.
+
+    The domain is one dict, walk -> index, beside a list of signs.  Every
+    walk is mapped once and its image kept as a domain index, so the checks
+    compare ints; an image that raised or left the domain is kept only for
+    its note.
     """
     started = time.perf_counter()
     if which not in ("first", "second"):
@@ -358,19 +369,36 @@ def audit_involution(
     half_walks = signed_walk_cost(n, r, d, "matching", "enumerate")
     require_budget((2 * half_walks + factorial(d)) ** 2, budget, "involution audit")
 
-    domain: dict[Walk, int] = {}
+    index: dict[Walk, int] = {}
+    signs: list[int] = []
     for w, sign in iter_restricted_family(n, r, d):
         if which == "second":
-            if profile_violations(w):
-                domain[w] = sign
+            if is_profile_walk(w):
+                continue
         else:
-            wt = reverse_negative_half(w)
-            if translated_exit(wt) is not None:
-                domain[wt] = sign
+            w = reverse_negative_half(w)
+            if translated_exit(w) is None:
+                continue
+        index[w] = len(signs)
+        signs.append(sign)
 
     rho = involution
     if rho is None:
         rho = nonprofile_involution if which == "second" else offregion_involution
+
+    # the image index of every domain walk, or -1 for an image that raised
+    # or left the domain, which `strays` keeps for its note
+    image_of: list[int] = []
+    strays: dict[int, Walk | Exception] = {}
+    for k, w in enumerate(index):
+        try:
+            image = rho(w, r)
+        except Exception as exc:  # noqa: BLE001 - a refusal is a failed audit
+            image = exc
+        j = -1 if isinstance(image, Exception) else index.get(image, -1)
+        if j < 0:
+            strays[k] = image
+        image_of.append(j)
 
     closure_failures = 0
     sign_failures = 0
@@ -383,43 +411,38 @@ def audit_involution(
         if witness is None:
             witness = f"walk {w.to_text()}: {why}"
 
-    # every walk is mapped once; an image's own entry serves the
-    # self-inverse check
-    images: dict[Walk, Walk | Exception] = {}
-    for w in domain:
-        try:
-            images[w] = rho(w, r)
-        except Exception as exc:  # noqa: BLE001 - a refusal is a failed audit
-            images[w] = exc
-
-    for w, sign in domain.items():
-        image = images[w]
-        if isinstance(image, Exception):
+    for k, (w, j) in enumerate(zip(index, image_of)):
+        if j < 0:
             closure_failures += 1
-            note(w, f"involution raised {image!r}")
+            image = strays[k]
+            if isinstance(image, Exception):
+                note(w, f"involution raised {image!r}")
+            else:
+                note(w, f"image {image.to_text()} left the domain")
             continue
-        if image == w:
+        if j == k:
             fixed_points += 1
             note(w, "fixed point")
             continue
-        if image not in domain:
-            closure_failures += 1
-            note(w, f"image {image.to_text()} left the domain")
-            continue
-        if domain[image] != -sign:
+        if signs[j] != -signs[k]:
             sign_failures += 1
             note(w, "endpoint permutation sign did not flip")
-        back = images[image]
-        if isinstance(back, Exception):
-            self_inverse_failures += 1
-            note(w, f"rho(rho(w)) raised {back!r}")
-        elif back != w:
-            self_inverse_failures += 1
-            note(w, f"rho(rho(w)) = {back.to_text()} differs")
+        back = image_of[j]
+        if back == k:
+            continue
+        self_inverse_failures += 1
+        if witness is None:
+            # only the first failure's note is kept, so the walk behind an
+            # index is looked up at most once
+            back = strays[j] if back < 0 else next(islice(index, back, None))
+            if isinstance(back, Exception):
+                note(w, f"rho(rho(w)) raised {back!r}")
+            else:
+                note(w, f"rho(rho(w)) = {back.to_text()} differs")
 
-    signed_total = sum(domain.values())
+    signed_total = sum(signs)
     methods = {
-        "domain_size": len(domain),
+        "domain_size": len(signs),
         "signed_total": signed_total,
         "closure_failures": closure_failures,
         "sign_flip_failures": sign_failures,
@@ -437,6 +460,16 @@ def audit_involution(
     return _report(f"involution-{which}", params, methods, passed, witness, started)
 
 
+# the marks of the profile side of `audit_bijections`: an image not yet
+# enumerated, one whose lift the lift side has verified, and one enumerated
+_UNVERIFIED, _VERIFIED, _SEEN = range(3)
+
+
+def _word_end(word: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """The endpoint of a half-walk: its direction histogram."""
+    return endpoint(Walk(d=d, pos=word, neg=()))
+
+
 def audit_bijections(
     n: int, r: int, d: int, budget: int | None = DEFAULT_BUDGET
 ) -> VerificationReport:
@@ -452,8 +485,14 @@ def audit_bijections(
 
     The lift side does not depend on d: `_lift_facts` computes it once per
     lift, the first time some d bounds that lift, and its checks are replayed
-    for every bounded lift.  The other side (tableaux, region walks, profile
+    for every bounded lift.  The other side (tableaux, region halves, profile
     walks) is enumerated afresh here.
+
+    Both sides of bijection 2 are unions of squares: the pairs are G x G
+    over the tableaux G of each shape, and the region walks are
+    H x reversed(H) over the region halves H of each endpoint
+    (`region_halves`).  They are compared one factor at a time, so neither
+    product is built, and their sizes are sums of squares.
     """
     started = time.perf_counter()
     check_count_params(n, r, d)
@@ -491,73 +530,89 @@ def audit_bijections(
     if len(pairs_from_graphs) != len(bounded):
         note("tableau-pair map is not injective")
 
-    by_shape: dict[tuple[int, ...], list] = {}
+    by_shape: dict[tuple[int, ...], set] = {}
     for t in iter_block_tableaux(n, r, d, "matching"):
-        by_shape.setdefault(t.shape, []).append(t)
-    pairs_direct = {
-        (p, q) for shape in by_shape for p in by_shape[shape] for q in by_shape[shape]
-    }
-    if pairs_direct != pairs_from_graphs:
+        by_shape.setdefault(t.shape, set()).add(t)
+    pair_count = sum(len(group) ** 2 for group in by_shape.values())
+    # the pairs via graphs are the pairs of G x G iff each lies in G x G for
+    # its shape and there are as many
+    if len(pairs_from_graphs) != pair_count or not all(
+        p in by_shape.get(p.shape, ()) and q in by_shape[p.shape]
+        for p, q in pairs_from_graphs
+    ):
         note(
-            f"pair sets differ: {len(pairs_direct)} direct vs "
+            f"pair sets differ: {pair_count} direct vs "
             f"{len(pairs_from_graphs)} via graphs"
         )
 
     # --- pairs <-> region-staying closed walks
-    # every tableau's column word is read once and paired with its group's
-    walks_from_pairs = set()
-    closed = (0,) * d
+    # the pair walks of a group are closed iff its column words share one
+    # endpoint, and they are the region walks iff each group's words are
+    # the region halves at that endpoint
+    halves = {end: set(group) for end, group in region_halves(n, r, d).items()}
+    region_count = sum(len(group) ** 2 for group in halves.values())
+    words_at = {}
+    word_pairs = 0
     for group in by_shape.values():
-        words = [column_word(t) for t in group]
-        for p_word in words:
-            for q_word in words:
-                w = column_words_walk(p_word, q_word, d)
-                walks_from_pairs.add(w)
-                if endpoint(w) != closed:
-                    note(f"pair walk {w.to_text()} is not closed")
-    region_walks = set(iter_region_walks(n, r, d))
-    if walks_from_pairs != region_walks:
+        words = {column_word(t) for t in group}
+        word_pairs += len(words) ** 2
+        first = next(iter(words))
+        end = _word_end(first, d)
+        for word in words:
+            if _word_end(word, d) != end:
+                walk = column_words_walk(first, word, d)
+                note(f"pair walk {walk.to_text()} is not closed")
+                break
+        words_at[end] = words
+    if words_at != halves or word_pairs != region_count:
         note(
-            f"walk sets differ: {len(walks_from_pairs)} from pairs vs "
-            f"{len(region_walks)} enumerated"
+            f"walk sets differ: {word_pairs} from pairs vs "
+            f"{region_count} enumerated"
         )
-    # a region walk's halves are column words, and many walks share one:
-    # each distinct word is read into its tableau once
-    tableau_of = {}
-
-    def tableau(word):
-        t = tableau_of.get(word)
-        if t is None:
-            t = tableau_of[word] = tableau_from_column_word(word, d)
-        return t
-
-    for w in region_walks:
-        p = tableau(w.pos)
-        q = tableau(w.neg[::-1])
-        if (p, q) not in pairs_direct:
-            note(f"region walk {w.to_text()} has no matching pair")
+    # a region walk has a pair iff both its halves are column words of
+    # tableaux in their shape's group
+    for half in chain.from_iterable(halves.values()):
+        try:
+            t = tableau_from_column_word(half, d)
+        except ValueError as exc:
+            note(f"region half {half} is no column word: {exc}")
+            break
+        if t not in by_shape.get(t.shape, ()):
+            walk = Walk(d=d, pos=half, neg=half[::-1])
+            note(f"region walk {walk.to_text()} has no matching pair")
             break
 
     # --- profile walks
-    images = set()
-    # images the lift side has verified: `_lift_facts` ran the profile test
-    # and the crossing pairing on the same halves, and building the image at
-    # d bounds its lift's largest planar matching, max(facts.left), by d
-    verified = set()
+    # (left, right) of each image -> its mark.  An image is verified when
+    # some lift with that image has no profile notes: `_lift_facts` ran the
+    # profile test and the crossing pairing on the same halves, and building
+    # the image at d bounds its lift's largest planar matching,
+    # max(facts.left), by d
+    marks: dict[tuple, int] = {}
     for _, facts in bounded:
-        w = Walk(d=d, pos=facts.left, neg=facts.right)
-        images.add(w)
         for why in facts.profile_notes:
             note(why)
-        if not facts.profile_notes:
-            verified.add(w)
-    if len(images) != len(bounded):
+        key = (facts.left, facts.right)
+        if facts.profile_notes:
+            marks.setdefault(key, _UNVERIFIED)
+        else:
+            marks[key] = _VERIFIED
+    if len(marks) != len(bounded):
         note("profile map is not injective")
-    direct_walks = set()
+    extras = set()
     for w in iter_profile_walks(n, r, d):
-        direct_walks.add(w)
-        if w in verified:
+        key = (w.pos, w.neg)
+        mark = marks.get(key)
+        if mark is None:
+            if key in extras:
+                continue
+            extras.add(key)
+        elif mark == _SEEN:
             continue
+        else:
+            marks[key] = _SEEN
+            if mark == _VERIFIED:
+                continue
         if not is_profile_walk(w):
             note(f"enumerated walk {w.to_text()} fails the profile test")
         config = crossing_pairing(w)
@@ -571,20 +626,22 @@ def audit_bijections(
         # the profile walk of the lift, as `profile_walk` builds it
         if Walk(d=w.d, pos=prof.left, neg=prof.right) != w:
             note(f"profile round trip failed for {w.to_text()}")
-    if direct_walks != images:
+    seen = sum(mark == _SEEN for mark in marks.values())
+    profile_count = seen + len(extras)
+    if extras or seen != len(marks):
         note(
-            f"profile-walk sets differ: {len(direct_walks)} enumerated vs "
-            f"{len(images)} images"
+            f"profile-walk sets differ: {profile_count} enumerated vs "
+            f"{len(marks)} images"
         )
 
     methods = {
         "configurations": len(bounded),
-        "tableau_pairs": len(pairs_direct),
-        "region_walks": len(region_walks),
-        "profile_walks": len(direct_walks),
+        "tableau_pairs": pair_count,
+        "region_walks": region_count,
+        "profile_walks": profile_count,
         "failures": failures,
     }
-    sizes = {len(bounded), len(pairs_direct), len(region_walks), len(direct_walks)}
+    sizes = {len(bounded), pair_count, region_count, profile_count}
     passed = failures == 0 and len(sizes) == 1
     params = {"n": n, "r": r, "d": d}
     return _report("bijections", params, methods, passed, witness, started)

@@ -625,25 +625,29 @@ def profile_violations(w: Walk) -> tuple[int, ...]:
     steps exists (k = occurrences of c up to u), and the l-th-to-last
     occurrence of c-1 among the negative steps, if it exists, comes earlier.
     """
-    return _profile_violations(w, occurrence_profile(w), _value_positions(w.neg))
+    return tuple(u for u, _, _ in _profile_violations(w, _value_positions(w.neg)))
 
 
-def _profile_violations(w: Walk, profile: OccurrenceProfile, at) -> tuple[int, ...]:
-    """`profile_violations` given the walk's occurrence profile and the
-    positions of each value among its negative steps (`_value_positions`),
-    so the k-th-to-last c is at[c][-k]."""
-    bad = []
-    for u, (c, k, l) in enumerate(zip(w.pos, *profile), start=1):
+def _profile_violations(w: Walk, at) -> Iterator[tuple[int, int, int]]:
+    """(u, c, l) for each position of `profile_violations`, lazily, in
+    order: its value c and lower count l, read off the positive prefix as
+    `occurrence_profile` counts them, given the positions of each value
+    among the negative steps (`_value_positions`), so the k-th-to-last c
+    is at[c][-k].  A caller that needs only the first violation stops
+    reading there."""
+    counts: dict[int, int] = {}
+    for u, c in enumerate(w.pos, start=1):
+        k = counts[c] = counts.get(c, 0) + 1
         if c == 1:
             continue
+        l = counts.get(c - 1, 0)
         anchors = at.get(c, ())
         if l == 0 or len(anchors) < k:
-            bad.append(u)
+            yield u, c, l
             continue
         earlier = at.get(c - 1, ())
         if len(earlier) >= l and earlier[-l] > anchors[-k]:
-            bad.append(u)
-    return tuple(bad)
+            yield u, c, l
 
 
 def is_profile_walk(w: Walk) -> bool:
@@ -651,9 +655,13 @@ def is_profile_walk(w: Walk) -> bool:
 
     Among representative walks ending at Toeplitz points this accepts
     exactly the images of the profile map (and such walks are necessarily
-    closed); with an arbitrary endpoint the test can hold vacuously.
+    closed); with an arbitrary endpoint the test can hold vacuously.  It
+    stops at the first violation.
     """
-    return len(w.pos) == len(w.neg) and not profile_violations(w)
+    return (
+        len(w.pos) == len(w.neg)
+        and next(_profile_violations(w, _value_positions(w.neg)), None) is None
+    )
 
 
 # ------------------------------------------------------------- involutions
@@ -701,14 +709,11 @@ def nonprofile_involution(w: Walk, r: int) -> Walk:
     if not in_restricted_family(w, r, "matching"):
         raise ValueError("walk does not satisfy the block conditions")
     _toeplitz_preimage(endpoint(w))
-    profile = occurrence_profile(w)
     at = _value_positions(w.neg)
-    violations = _profile_violations(w, profile, at)
-    if not violations:
+    first = next(_profile_violations(w, at), None)
+    if first is None:
         raise ValueError("walk is a prefix matching profile; not in the domain")
-    u = violations[0]
-    c = w.pos[u - 1]
-    l = profile.lower[u - 1]
+    u, c, l = first
     if l == 0:
         v_bar = m + 1
     elif len(at.get(c - 1, ())) < l:
@@ -842,47 +847,46 @@ def iter_profile_walks(n: int, r: int, d: int):
     yield from grow(0, None, 0)
 
 
-def iter_region_walks(n: int, r: int, d: int):
-    """Every closed reversed-family walk of length 2rn staying in the
-    dominance region x_1 >= ... >= x_d, by pruned backtracking."""
+def region_halves(
+    n: int, r: int, d: int
+) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Endpoint -> the positive halves of length rn, blocks weakly
+    decreasing, that stay in the dominance region x_1 >= ... >= x_d, each
+    group in lexicographic order.  The halves are grown one step at a time;
+    a step in direction v > 1 is allowed while x_v < x_(v-1).  Grouped by
+    endpoint, they are the column words of the standard tableaux with strict
+    block descents, one group per shape."""
     check_count_params(n, r, d)
-    m = n * r
-    pos_acc: list[int] = []
-    hist = [0] * (d + 2)
+    halves = [((), (0,) * d)]
+    for i in range(n * r):
+        halves = [
+            (values + (v,), point[: v - 1] + (point[v - 1] + 1,) + point[v:])
+            for values, point in halves
+            for v in range(1, (values[-1] if i % r else d) + 1)
+            if v == 1 or point[v - 1] < point[v - 2]
+        ]
+    by_end: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for values, point in halves:
+        by_end.setdefault(point, []).append(values)
+    return by_end
 
-    def grow_neg(a: tuple[int, ...], point: list[int], buf: list[int], p: int):
-        if p == m:
-            yield Walk(d=d, pos=a, neg=tuple(buf))
-            return
-        prev = buf[-1] if p % r else None
-        for v in range(1, d + 1):
-            if point[v - 1] == 0:
-                continue
-            if prev is not None and v < prev:
-                continue
-            if v < d and point[v - 1] - 1 < point[v]:
-                continue
-            point[v - 1] -= 1
-            buf.append(v)
-            yield from grow_neg(a, point, buf, p + 1)
-            buf.pop()
-            point[v - 1] += 1
 
-    def grow_pos(i: int):
-        if i == m:
-            a = tuple(pos_acc)
-            yield from grow_neg(a, hist[1 : d + 1], [], 0)
-            return
-        prev = pos_acc[-1] if i % r else None
-        for v in range(1, d + 1):
-            if prev is not None and v > prev:
-                continue
-            if v > 1 and hist[v] + 1 > hist[v - 1]:
-                continue
-            hist[v] += 1
-            pos_acc.append(v)
-            yield from grow_pos(i + 1)
-            pos_acc.pop()
-            hist[v] -= 1
+def iter_region_walks(n: int, r: int, d: int) -> Iterator[Walk]:
+    """Every closed reversed-family walk of length 2rn staying in the
+    dominance region x_1 >= ... >= x_d: each half of `region_halves`, in
+    lexicographic order, followed by every reversed half with its endpoint,
+    in lexicographic order.
 
-    yield from grow_pos(0)
+    The reversal lemma: the negative steps of such a walk go from its
+    midpoint lambda back to 0 through the points that the reversed word
+    visits on its way from 0 to lambda, so one stays in the region exactly
+    when the other does.  Their negative blocks weakly increase exactly when
+    the reversed word's blocks weakly decrease: r divides rn, so reversing
+    the word maps its blocks onto blocks, each one reversed."""
+    halves = region_halves(n, r, d)
+    reversed_halves = {
+        end: sorted(h[::-1] for h in group) for end, group in halves.items()
+    }
+    for pos, end in sorted((h, end) for end, group in halves.items() for h in group):
+        for neg in reversed_halves[end]:
+            yield Walk(d=d, pos=pos, neg=neg)

@@ -1,6 +1,8 @@
 import ast
+import gc
 import inspect
 import json
+import tracemalloc
 from math import comb, factorial
 from pathlib import Path
 
@@ -281,6 +283,90 @@ def test_bijection_audit_notes_an_enumerated_walk_that_is_no_profile():
     assert report.methods["failures"] == 3
 
 
+def audit_with_region_halves(n, r, d, change):
+    """`audit_bijections(n, r, d)` with `change` applied to its region
+    halves, endpoint -> list of halves."""
+    real = verify.region_halves
+
+    def changed(n, r, d):
+        halves = real(n, r, d)
+        change(halves)
+        return halves
+
+    verify.region_halves = changed
+    try:
+        return audit_bijections(n, r, d)
+    finally:
+        verify.region_halves = real
+
+
+def test_bijection_audit_notes_a_region_half_that_is_no_column_word():
+    # 21 leaves the dominance region at its first step: the audit notes it
+    # instead of raising from `tableau_from_column_word`
+    stray = Walk.from_text("21|12", d=2)
+    report = audit_with_region_halves(
+        2, 1, 2, lambda halves: halves[(1, 1)].append(stray.pos)
+    )
+    assert not report.passed
+    assert report.methods["region_walks"] == 1 + 2**2
+    assert report.witness == "walk sets differ: 2 from pairs vs 5 enumerated"
+    # the sets, and the half that is no column word
+    assert report.methods["failures"] == 2
+    assert audit_bijections(2, 1, 2).passed
+
+
+def test_bijection_audit_notes_a_missing_region_half():
+    report = audit_with_region_halves(
+        3, 1, 3, lambda halves: halves[(2, 1, 0)].pop()
+    )
+    assert not report.passed
+    assert report.witness == "walk sets differ: 6 from pairs vs 3 enumerated"
+    assert report.methods["failures"] == 1
+
+
+def test_bijection_audit_notes_an_extra_region_half():
+    # 12|11 stays in the region but its first block increases: it is no
+    # column word of a tableau with strict block descents
+    report = audit_with_region_halves(
+        2, 2, 2, lambda halves: halves[(3, 1)].append((1, 2, 1, 1))
+    )
+    assert not report.passed
+    assert report.witness == "walk sets differ: 3 from pairs vs 6 enumerated"
+    # the sets, and the region walk 1211|1121 without a pair
+    assert report.methods["failures"] == 2
+
+
+def audit_with_profile_walks(n, r, d, change):
+    """`audit_bijections(n, r, d)` with `change` applied to the list of its
+    enumerated profile walks."""
+    real = verify.iter_profile_walks
+
+    def changed(n, r, d):
+        walks = list(real(n, r, d))
+        change(walks)
+        return iter(walks)
+
+    verify.iter_profile_walks = changed
+    try:
+        return audit_bijections(n, r, d)
+    finally:
+        verify.iter_profile_walks = real
+
+
+def test_bijection_audit_notes_a_dropped_profile_walk():
+    report = audit_with_profile_walks(4, 1, 3, lambda walks: walks.pop(5))
+    assert not report.passed
+    assert report.methods["profile_walks"] == report.methods["configurations"] - 1
+    assert report.witness == "profile-walk sets differ: 22 enumerated vs 23 images"
+    assert report.methods["failures"] == 1
+
+
+def test_bijection_audit_counts_a_repeated_profile_walk_once():
+    report = audit_with_profile_walks(4, 1, 3, lambda walks: walks.insert(9, walks[3]))
+    assert report.passed
+    assert report.methods["profile_walks"] == report.methods["configurations"] == 23
+
+
 def test_bijection_audit_pairs_each_profile_walk_once():
     # a walk the lift side has verified is not paired again on the walk side
     real = verify.crossing_pairing
@@ -493,3 +579,28 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert private == []
+
+
+def transient_peak_mib(call):
+    """The tracemalloc peak of `call()` above what was allocated before it,
+    after one untraced warm-up call has filled the caches, in MiB."""
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / 2**20
+
+
+def test_audits_hold_no_witness_products():
+    # the pair and region sides are compared shape by shape, profile images
+    # are marked in one dict, and involution images are domain indices:
+    # holding every pair walk, region walk and image needs 6.6 MiB at
+    # (7, 1, 7) and 5.7 and 6.9 MiB for the involutions at (5, 1, 3)
+    assert transient_peak_mib(lambda: audit_bijections(7, 1, 7)) < 3
+    for which in ("first", "second"):
+        assert transient_peak_mib(lambda: audit_involution(5, 1, 3, which)) < 5

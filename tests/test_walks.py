@@ -18,8 +18,10 @@ from planarcount.walks import (
     _block_choices,
     _fold_into_shapes,
     _half_profiles_enumerate,
+    _profile_violations,
     _shape_counts_dp,
     _sort_with_sign,
+    _value_positions,
     all_walks_cost,
     count_all_walks_signed,
     crossing_pairing,
@@ -38,6 +40,7 @@ from planarcount.walks import (
     offregion_involution,
     profile_violations,
     profile_walk,
+    region_halves,
     reverse_negative_half,
     signed_walk_cost,
     signed_walk_sum,
@@ -868,6 +871,125 @@ def test_region_walk_enumerator_against_filter(n, r, d):
             expected.add(wt)
     got = set(iter_region_walks(n, r, d))
     assert got == expected
+
+
+def reference_region_walks(n, r, d):
+    """Every closed reversed-family walk staying in the dominance region, by
+    a backtracking search that grows the negative half under every positive
+    half, in lexicographic order of both."""
+    m = n * r
+    pos_acc = []
+    hist = [0] * (d + 2)
+
+    def grow_neg(a, point, buf, p):
+        if p == m:
+            yield Walk(d=d, pos=a, neg=tuple(buf))
+            return
+        prev = buf[-1] if p % r else None
+        for v in range(1, d + 1):
+            if point[v - 1] == 0:
+                continue
+            if prev is not None and v < prev:
+                continue
+            if v < d and point[v - 1] - 1 < point[v]:
+                continue
+            point[v - 1] -= 1
+            buf.append(v)
+            yield from grow_neg(a, point, buf, p + 1)
+            buf.pop()
+            point[v - 1] += 1
+
+    def grow_pos(i):
+        if i == m:
+            yield from grow_neg(tuple(pos_acc), hist[1 : d + 1], [], 0)
+            return
+        prev = pos_acc[-1] if i % r else None
+        for v in range(1, d + 1):
+            if prev is not None and v > prev:
+                continue
+            if v > 1 and hist[v] + 1 > hist[v - 1]:
+                continue
+            hist[v] += 1
+            pos_acc.append(v)
+            yield from grow_pos(i + 1)
+            pos_acc.pop()
+            hist[v] -= 1
+
+    yield from grow_pos(0)
+
+
+def test_region_walks_match_backtracking_reference_in_order():
+    # every (n, r, d) with rn <= 7 and d <= rn + 1
+    walks = 0
+    for r in range(1, 8):
+        for n in range(0, 7 // r + 1):
+            for d in range(n * r + 2):
+                got = list(iter_region_walks(n, r, d))
+                assert got == list(reference_region_walks(n, r, d)), (n, r, d)
+                walks += len(got)
+    assert walks == 32_216
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.integers(1, 10 // r).flatmap(
+                lambda n: st.tuples(st.just(n), st.integers(0, n * r + 1))
+            ),
+        )
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_region_walks_past_the_reference_grid(drawn):
+    # rn <= 10 with r >= 2, where the walks number at most 20 000
+    r, (n, d) = drawn
+    total = sum(len(group) ** 2 for group in region_halves(n, r, d).values())
+    assume(total <= 20_000)
+    got = list(iter_region_walks(n, r, d))
+    assert len(got) == total
+    assert got == list(reference_region_walks(n, r, d))
+
+
+@pytest.mark.parametrize(
+    "n,r,d", [(0, 1, 0), (0, 2, 3), (3, 1, 3), (4, 1, 2), (2, 2, 2), (3, 2, 4), (2, 3, 5), (1, 4, 4)]
+)
+def test_region_halves_stay_in_the_region_grouped_by_endpoint(n, r, d):
+    halves = region_halves(n, r, d)
+    for end, group in halves.items():
+        assert group == sorted(set(group))
+        for half in group:
+            w = Walk(d=d, pos=half, neg=())
+            assert len(half) == n * r
+            assert weakly_decreasing_blocks(half, r)
+            assert stays_in_dominance_region(w)
+            assert endpoint(w) == end
+    every = sum(halves.values(), [])
+    assert len(every) == len(set(every))
+    assert sum(len(group) ** 2 for group in halves.values()) == len(
+        list(iter_region_walks(n, r, d))
+    )
+
+
+def test_first_profile_violation_is_read_lazily():
+    # on every restricted walk of the benchmark's involution audit sizes
+    # (rn <= 5, d <= 3), the first violation read lazily is the first
+    # position of `profile_violations`, with its value and lower count
+    walks = 0
+    for r in range(1, 6):
+        for n in range(1, 5 // r + 1):
+            for d in range(4):
+                for w, _ in iter_restricted_family(n, r, d):
+                    first = next(_profile_violations(w, _value_positions(w.neg)), None)
+                    bad = profile_violations(w)
+                    assert is_profile_walk(w) == (first is None) == (not bad)
+                    if first is not None:
+                        u, c, l = first
+                        assert u == bad[0]
+                        assert c == w.pos[u - 1]
+                        assert l == occurrence_profile(w).lower[u - 1]
+                    walks += 1
+    assert walks == 21_037
 
 
 def test_profile_enumerator_counts_match_graph_counts():
