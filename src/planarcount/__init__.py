@@ -33,7 +33,6 @@ from .tableaux import (
     enumerate_tableaux,
     iter_block_tableaux,
     pair_walk,
-    row_insert,
     rsk,
     rsk_inverse,
     tableau_from_column_word,
@@ -59,7 +58,6 @@ from .walks import (
     in_restricted_family,
     in_reversed_family,
     is_profile_walk,
-    is_toeplitz_point,
     iter_profile_walks,
     iter_region_walks,
     iter_restricted_family,

@@ -7,9 +7,17 @@ graph into a configuration: a perfect matching of [rn] with [rn], i.e. a
 permutation in one-line notation.
 
 `lifted_multigraphs` is the one pipeline over multigraphs: it enumerates
-them, lifts each and measures its largest planar matching and subgraph.
-Brute-force counting keeps only a histogram of those size pairs per (n, r),
-and the bijection audit caches the lifts with their sizes.
+them, lifts each and measures its largest planar matching and subgraph.  It
+is one depth-first fill of the matrix row by row (`_fill`), which carries
+the lift prefix, the patience piles and the planar-subgraph DP row from each
+node to its children, so a row is lifted and measured once per node, not
+once per graph.  A table that lives for one call holds, per vector of column
+remainders, the rows that fit with their lift segments.  The single-graph
+functions (`canonical_lift`, `largest_planar_matching_size`,
+`largest_planar_subgraph_size`) read the same row steps, and
+`enumerate_multigraphs` the same fill.  Brute-force counting keeps only a
+histogram of the size pairs per (n, r), and the bijection audit caches the
+lifts with their sizes.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Iterator, NamedTuple
 from .perms import check_permutation, perm_inverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multigraph:
     """n x n matrix of edge multiplicities with all row and column sums r."""
 
@@ -90,8 +98,8 @@ class MatchingProfile(NamedTuple):
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """Every tuple of `parts` nonnegative ints summing to `total`, in
     descending lexicographic order."""
-    if parts == 1:
-        return [(total,)]
+    if parts == 0:
+        return [()] if total == 0 else []
     return [
         (x,) + rest
         for x in range(total, -1, -1)
@@ -99,57 +107,117 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     ]
 
 
-def enumerate_multigraphs(n: int, r: int) -> Iterator[Multigraph]:
-    """Every n x n nonnegative matrix with all row/column sums r, exactly once.
-
-    Rows are taken from the compositions of r into n parts, largest first,
-    one generator frame per row.  A row must fit under the remaining column
-    sums; any remainder with the right total is reachable, so there are no
-    dead branches, and the last row is forced to be the remainder.  The
-    stream is therefore ordered by descending flattened matrix.  For n = 0
-    the one multigraph is the empty one.
-    """
-    check_count_params(n, r, 0)
-    if n == 0:
-        yield Multigraph(n=0, r=r, rows=())
-        return
-    rows = _compositions(r, n)
-
-    def fill(i: int, done: tuple, col_rem: tuple[int, ...]) -> Iterator[Multigraph]:
-        if i == n - 1:
-            yield Multigraph(n=n, r=r, rows=done + (col_rem,))
-            return
-        for row in rows:
-            if all(x <= c for x, c in zip(row, col_rem)):
-                yield from fill(
-                    i + 1, done + (row,), tuple(c - x for x, c in zip(row, col_rem))
-                )
-
-    yield from fill(0, (), (r,) * n)
-
-
-def canonical_lift(g: Multigraph) -> tuple[int, ...]:
-    """Lift a multigraph to the configuration in which parallel edges cross.
+def _lift_row(
+    row: tuple[int, ...], col_rem: tuple[int, ...], r: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One row of the canonical lift: the values of the row's r copies, and
+    the column remainders after the row.
 
     An edge (u_i, v_j) of multiplicity t, preceded (in the crossing order) by
     a = number of edges from u_i to later columns and b = number of edges into
     v_j from later rows, contributes the pairings
     (copy a+s of u_i, copy b+t-s+1 of v_j) for s = 1..t.  The cells are read
-    row by row, so a and b are the running row and column remainders.
+    left to right, so a is the running row remainder and b the column
+    remainder once this row is taken off.
     """
-    n, r = g.n, g.r
-    values = [0] * (r * n)
-    col_rem = [r] * n
-    for i, row in enumerate(g.rows):
-        a = r
-        for j, t in enumerate(row):
-            if t == 0:
-                continue
+    segment = [0] * r
+    rem = list(col_rem)
+    a = r
+    for j, t in enumerate(row):
+        if t:
             a -= t
-            col_rem[j] -= t
-            b = col_rem[j]
-            for s in range(1, t + 1):
-                values[i * r + a + s - 1] = j * r + b + t - s + 1
+            rem[j] -= t
+            top = j * r + rem[j] + t
+            for s in range(t):
+                segment[a + s] = top - s
+    return tuple(segment), tuple(rem)
+
+
+def _extend_piles(piles: list[int], values) -> None:
+    """Patience sorting: deal `values` onto the piles, kept as their top
+    cards in increasing order.  The number of piles is then the length of a
+    longest increasing subsequence of everything dealt so far."""
+    for v in values:
+        p = bisect_left(piles, v)
+        if p == len(piles):
+            piles.append(v)
+        else:
+            piles[p] = v
+
+
+def _subgraph_row(best: tuple[int, ...], row: tuple[int, ...]) -> tuple[int, ...]:
+    """One row of the planar-subgraph DP.  best[j] is the heaviest chain of
+    cells weakly increasing in both coordinates among the rows so far and
+    columns <= j (best[0] = 0); with nonnegative multiplicities, adding a row
+    makes it t + max(best above, best to the left)."""
+    out = [0]
+    left = 0
+    for t, above in zip(row, best[1:]):
+        left = t + (above if above > left else left)
+        out.append(left)
+    return tuple(out)
+
+
+def _fill(n: int, r: int) -> Iterator[tuple[Multigraph, tuple[int, ...], int, int]]:
+    """The one row-by-row search over multigraphs: each graph, checked, with
+    its checked canonical lift, largest planar matching and largest planar
+    subgraph.
+
+    Rows are taken from the compositions of r into n parts, largest first.
+    A row must fit under the remaining column sums; any remainder with the
+    right total is reachable, so there are no dead branches, and the last
+    row is forced to be the remainder.  The stream is therefore ordered by
+    descending flattened matrix.  For n = 0 the one multigraph is the empty
+    one.
+
+    A node carries its lift prefix, its patience piles and its DP row down
+    to its children, so every row is lifted and measured once per node.  The
+    lift of a row depends only on the row and the column remainders before
+    it, so a table kept for this call maps each remainder vector to the rows
+    that fit, each with its lift segment and the remainders after it.
+    """
+    check_count_params(n, r, 0)
+    rows = _compositions(r, n)
+    table: dict[tuple[int, ...], list] = {}
+    # depth-first on an explicit stack; a node's children are pushed last
+    # first, so they come off in order
+    stack = [((), (), [], (0,) * (n + 1), (r,) * n)]
+    while stack:
+        done, lift, piles, best, col_rem = stack.pop()
+        if len(done) == n:
+            g = Multigraph(n=n, r=r, rows=done)
+            yield g, check_permutation(lift), len(piles), best[-1]
+            continue
+        moves = table.get(col_rem)
+        if moves is None:
+            moves = table[col_rem] = [
+                (row, *_lift_row(row, col_rem, r))
+                for row in reversed(rows)
+                if all(x <= c for x, c in zip(row, col_rem))
+            ]
+        for row, segment, rem in moves:
+            grown = piles.copy()
+            _extend_piles(grown, segment)
+            stack.append(
+                (done + (row,), lift + segment, grown, _subgraph_row(best, row), rem)
+            )
+
+
+def enumerate_multigraphs(n: int, r: int) -> Iterator[Multigraph]:
+    """Every n x n nonnegative matrix with all row/column sums r, exactly
+    once, in descending order of the flattened matrix (see `_fill`)."""
+    for g, _, _, _ in _fill(n, r):
+        yield g
+
+
+def canonical_lift(g: Multigraph) -> tuple[int, ...]:
+    """Lift a multigraph to the configuration in which parallel edges cross:
+    its rows' lifts (`_lift_row`) one after another."""
+    values: list[int] = []
+    col_rem = (g.r,) * g.n
+    for row in g.rows:
+        segment, col_rem = _lift_row(row, col_rem, g.r)
+        values += segment
     return check_permutation(values)
 
 
@@ -196,38 +264,27 @@ def largest_planar_matching_size(perm) -> int:
     alone: the length of a longest increasing subsequence.  The permutation
     is not validated."""
     piles: list[int] = []
-    for v in perm:
-        p = bisect_left(piles, v)
-        if p == len(piles):
-            piles.append(v)
-        else:
-            piles[p] = v
+    _extend_piles(piles, perm)
     return len(piles)
 
 
 def largest_planar_subgraph_size(g: Multigraph) -> int:
     """Maximum total multiplicity over chains of cells weakly increasing in
-    both coordinates (noncrossing edges that may share endpoints).
-
-    After row i, best[j] is the best chain over the cells <= (i, j); with
-    nonnegative multiplicities that is t + max(best above, best to the left).
-    """
-    best = [0] * (g.n + 1)
+    both coordinates (noncrossing edges that may share endpoints): the DP of
+    `_subgraph_row` over every row."""
+    best = (0,) * (g.n + 1)
     for row in g.rows:
-        for j, t in enumerate(row, start=1):
-            best[j] = t + max(best[j], best[j - 1])
+        best = _subgraph_row(best, row)
     return best[-1]
 
 
 def lifted_multigraphs(n: int, r: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """The one pipeline over multigraphs: for each graph of
     `enumerate_multigraphs(n, r)`, in its order, its canonical lift, largest
-    planar matching and largest planar subgraph."""
-    for g in enumerate_multigraphs(n, r):
-        lift = canonical_lift(g)
-        yield lift, largest_planar_matching_size(lift), largest_planar_subgraph_size(g)
-
-
+    planar matching and largest planar subgraph, lifted and measured a row
+    at a time as the search descends (see `_fill`)."""
+    for _, lift, matching, subgraph in _fill(n, r):
+        yield lift, matching, subgraph
 @lru_cache(maxsize=None)
 def _size_histogram(n: int, r: int) -> Counter:
     """How many multigraphs have each (largest matching, largest subgraph)."""

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import permutations as _permutations
-from typing import Iterator
-
 
 def check_permutation(values) -> tuple[int, ...]:
     """Validate one-line notation: every integer in [m] appears exactly once."""
@@ -36,8 +33,3 @@ def perm_sign(perm: tuple[int, ...]) -> int:
             seen[j] = True
             j = perm[j] - 1
     return 1 if (m - cycles) % 2 == 0 else -1
-
-
-def iter_permutations(m: int) -> Iterator[tuple[int, ...]]:
-    """All permutations of [m] in lexicographic order; the empty one for m = 0."""
-    return _permutations(range(1, m + 1))

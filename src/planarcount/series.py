@@ -51,9 +51,6 @@ class RationalSeries:
                 return c
         return Fraction(0)
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coefficients)
-
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
         m = min(self.truncation, other.truncation)
         out = {deg: c for deg, c in self.coefficients if deg <= m}

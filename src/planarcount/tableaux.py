@@ -64,9 +64,6 @@ class YoungTableau:
                 return (i + 1, j + 1)
         raise ValueError(f"{value} is not an entry")
 
-    def row_of(self, value: int) -> int:
-        return self.position_of(value)[0]
-
     def to_text(self) -> str:
         inner = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in self.rows)
         return "[" + inner + "]"
@@ -95,16 +92,6 @@ def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:
 
 def _freeze(rows: list[list[int]]) -> YoungTableau:
     return YoungTableau(tuple(tuple(row) for row in rows))
-
-
-def row_insert(t: YoungTableau, x: int) -> tuple[YoungTableau, tuple[int, int]]:
-    """Schensted insertion of x into a copy of t.  Returns the new tableau
-    and the (row, column) of the created box."""
-    if x in set(t.entries()):
-        raise ValueError(f"{x} is already an entry")
-    rows = [list(row) for row in t.rows]
-    box = _insert(rows, x)
-    return _freeze(rows), box
 
 
 def rsk(perm) -> tuple[YoungTableau, YoungTableau]:

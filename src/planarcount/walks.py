@@ -162,12 +162,6 @@ def toeplitz_point(pi) -> tuple[int, ...]:
     return tuple(j - pi[j - 1] for j in range(1, len(pi) + 1))
 
 
-def is_toeplitz_point(point) -> bool:
-    """True when point = (1 - pi(1), ..., d - pi(d)) for a permutation pi."""
-    values = [j - point[j - 1] for j in range(1, len(point) + 1)]
-    return sorted(values) == list(range(1, len(point) + 1))
-
-
 def iter_toeplitz(d: int, max_l1: int | None = None):
     """(pi, T(pi), sign) over all permutations of [d]; endpoints whose l1 norm
     exceeds max_l1 are skipped since no walk of that length can reach them."""
@@ -788,63 +782,76 @@ def iter_profile_walks(n: int, r: int, d: int):
     checked as each negative step is placed, back to front.
     """
     check_count_params(n, r, d)
-    m = n * r
-    pos_acc: list[int] = []
+    for a in _profile_positive_halves(n * r, r, d, [], None, 0):
+        for b in _profile_negative_halves(a, r, d):
+            yield Walk(d=d, pos=a, neg=b)
 
-    def neg_halves(a: tuple[int, ...]):
-        same, lower = occurrence_profile(Walk(d, a, ()))
-        # a positive position with value c > 1, same-count k and lower-count
-        # l needs the l-th-to-last c-1 of the negative half before its
-        # k-th-to-last c.  Filled back to front, that c-1 is placed too late
-        # iff fewer than k c's are placed, so need keeps the largest k.
-        need: dict[tuple[int, int], int] = {}
-        for c, k, l in zip(a, same, lower):
-            if c > 1 and k > need.get((c - 1, l), 0):
-                need[(c - 1, l)] = k
-        remaining = Counter(a)
-        values_present = sorted(remaining)
-        suffix = [0] * (d + 2)
-        buf = [0] * m
 
-        def place(p: int):
-            # positions filled from m down to 1
-            if p == 0:
-                yield tuple(buf)
-                return
-            for v in values_present:
-                if remaining[v] == 0:
-                    continue
-                # blocks of the negative half must weakly decrease
-                if p % r != 0 and v < buf[p]:
-                    continue
-                seen = suffix[v] + 1
-                if suffix[v + 1] < need.get((v, seen), 0):
-                    continue
-                buf[p - 1] = v
-                remaining[v] -= 1
-                suffix[v] = seen
-                yield from place(p - 1)
-                remaining[v] += 1
-                suffix[v] = seen - 1
+def _profile_positive_halves(
+    m: int, r: int, d: int, acc: list[int], prev_in_block: int | None, max_seen: int
+) -> Iterator[tuple[int, ...]]:
+    """The positive halves of length m that extend `acc`: blocks weakly
+    decreasing, and every value at most one more than the largest before."""
+    if len(acc) == m:
+        yield tuple(acc)
+        return
+    cap = min(d, max_seen + 1)
+    if prev_in_block is not None:
+        cap = min(cap, prev_in_block)
+    for v in range(1, cap + 1):
+        acc.append(v)
+        nxt_prev = v if len(acc) % r else None
+        yield from _profile_positive_halves(m, r, d, acc, nxt_prev, max(max_seen, v))
+        acc.pop()
 
-        yield from place(m)
 
-    def grow(i: int, prev_in_block: int | None, max_seen: int):
-        if i == m:
-            a = tuple(pos_acc)
-            for b in neg_halves(a):
-                yield Walk(d=d, pos=a, neg=b)
-            return
-        cap = min(d, max_seen + 1)
-        if prev_in_block is not None:
-            cap = min(cap, prev_in_block)
-        for v in range(1, cap + 1):
-            pos_acc.append(v)
-            nxt_prev = v if (i + 1) % r else None
-            yield from grow(i + 1, nxt_prev, max(max_seen, v))
-            pos_acc.pop()
+def _profile_negative_halves(a: tuple[int, ...], r: int, d: int):
+    """The negative halves that complete the positive half `a` to a profile
+    walk, filled back to front."""
+    same, lower = occurrence_profile(Walk(d, a, ()))
+    # a positive position with value c > 1, same-count k and lower-count
+    # l needs the l-th-to-last c-1 of the negative half before its
+    # k-th-to-last c.  Filled back to front, that c-1 is placed too late
+    # iff fewer than k c's are placed, so need keeps the largest k.
+    need: dict[tuple[int, int], int] = {}
+    for c, k, l in zip(a, same, lower):
+        if c > 1 and k > need.get((c - 1, l), 0):
+            need[(c - 1, l)] = k
+    remaining = Counter(a)
+    values = sorted(remaining)
+    buf, suffix = [0] * len(a), [0] * (d + 2)
+    return _place_negative(len(a), r, buf, remaining, suffix, need, values)
 
-    yield from grow(0, None, 0)
+
+def _place_negative(
+    p: int,
+    r: int,
+    buf: list[int],
+    remaining: Counter,
+    suffix: list[int],
+    need: dict[tuple[int, int], int],
+    values: list[int],
+) -> Iterator[tuple[int, ...]]:
+    """Fill negative positions p, p-1, ..., 1 of `buf` from `remaining`;
+    suffix[v] counts the v's placed so far."""
+    if p == 0:
+        yield tuple(buf)
+        return
+    for v in values:
+        if remaining[v] == 0:
+            continue
+        # blocks of the negative half must weakly decrease
+        if p % r != 0 and v < buf[p]:
+            continue
+        seen = suffix[v] + 1
+        if suffix[v + 1] < need.get((v, seen), 0):
+            continue
+        buf[p - 1] = v
+        remaining[v] -= 1
+        suffix[v] = seen
+        yield from _place_negative(p - 1, r, buf, remaining, suffix, need, values)
+        remaining[v] += 1
+        suffix[v] = seen - 1
 
 
 def region_halves(

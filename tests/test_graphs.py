@@ -20,7 +20,7 @@ from planarcount.graphs import (
     project_configuration,
     sample_configuration,
 )
-from planarcount.perms import iter_permutations, perm_inverse
+from planarcount.perms import perm_inverse
 from planarcount.walks import signed_walk_sum
 
 WORKED_GRAPH = Multigraph(n=3, r=2, rows=((0, 1, 1), (2, 0, 0), (0, 1, 1)))
@@ -86,6 +86,35 @@ def slice_sum_lift(g):
             for s in range(1, t + 1):
                 values[i * r + a + s - 1] = j * r + b + (t - s + 1)
     return tuple(values)
+
+
+def whole_matrix_lift(g):
+    """The canonical lift read cell by cell over the whole matrix, with the
+    row and column remainders kept as running counts."""
+    n, r = g.n, g.r
+    values = [0] * (r * n)
+    col_rem = [r] * n
+    for i, row in enumerate(g.rows):
+        a = r
+        for j, t in enumerate(row):
+            if t == 0:
+                continue
+            a -= t
+            col_rem[j] -= t
+            b = col_rem[j]
+            for s in range(1, t + 1):
+                values[i * r + a + s - 1] = j * r + b + t - s + 1
+    return tuple(values)
+
+
+def whole_matrix_subgraph_size(g):
+    """The planar-subgraph DP over the whole matrix in one list: after row
+    i, best[j] is the best chain over the cells <= (i, j)."""
+    best = [0] * (g.n + 1)
+    for row in g.rows:
+        for j, t in enumerate(row, start=1):
+            best[j] = t + max(best[j], best[j - 1])
+    return best[-1]
 
 
 # ---------------------------------------------------------- enumeration
@@ -210,15 +239,28 @@ def test_lift_matches_slice_sum_reference_in_order(n, r):
     assert [canonical_lift(g) for g in graphs] == [slice_sum_lift(g) for g in graphs]
 
 
-@pytest.mark.parametrize("n,r", [(n, r) for n, r in SMALL_GRIDS if n <= 3])
+@pytest.mark.parametrize("n,r", SMALL_GRIDS)
+def test_lift_matches_whole_matrix_reference(n, r):
+    for g in enumerate_multigraphs(n, r):
+        assert canonical_lift(g) == whole_matrix_lift(g)
+
+
+@pytest.mark.parametrize("n,r", SMALL_GRIDS)
 def test_lifted_multigraphs_lift_and_measure_every_graph_in_order(n, r):
+    # the incremental fill against lifting and measuring each whole graph
     graphs = list(enumerate_multigraphs(n, r))
+    expected = []
+    for g in graphs:
+        lift = whole_matrix_lift(g)
+        expected.append(
+            (lift, planar_matching_profile(lift).largest, whole_matrix_subgraph_size(g))
+        )
     lifted = list(lifted_multigraphs(n, r))
-    assert len(lifted) == len(graphs)
-    for g, (lift, matching, subgraph) in zip(graphs, lifted):
+    assert lifted == expected
+    for g, (lift, _, _) in zip(graphs, lifted):
         assert project_configuration(lift, n, r) == g
-        assert matching == planar_matching_profile(lift).largest
-        assert subgraph == brute_largest_subgraph(g)
+    if n <= 3:
+        assert [s for _, _, s in lifted] == [brute_largest_subgraph(g) for g in graphs]
 
 
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3), (4, 2)])
@@ -250,7 +292,7 @@ def test_profile_of_identity_and_crossing():
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_largest_matching_matches_subset_search(m):
-    for perm in iter_permutations(m):
+    for perm in permutations(range(1, m + 1)):
         assert planar_matching_profile(perm).largest == brute_largest_matching(perm)
 
 
@@ -290,6 +332,12 @@ def test_subgraph_size_examples():
 def test_subgraph_size_matches_chain_search(n, r):
     for g in enumerate_multigraphs(n, r):
         assert largest_planar_subgraph_size(g) == brute_largest_subgraph(g)
+
+
+@pytest.mark.parametrize("n,r", SMALL_GRIDS)
+def test_subgraph_size_matches_whole_matrix_reference(n, r):
+    for g in enumerate_multigraphs(n, r):
+        assert largest_planar_subgraph_size(g) == whole_matrix_subgraph_size(g)
 
 
 # ------------------------------------------------------------------ counts

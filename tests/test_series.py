@@ -20,12 +20,12 @@ F = Fraction
 
 def test_bessel_series_order_zero():
     s = bessel_series(0, 4)
-    assert s.as_dict() == {0: F(1), 2: F(1), 4: F(1, 4)}
+    assert dict(s.coefficients) == {0: F(1), 2: F(1), 4: F(1, 4)}
 
 
 def test_bessel_series_order_one():
     s = bessel_series(1, 3)
-    assert s.as_dict() == {1: F(1), 3: F(1, 2)}
+    assert dict(s.coefficients) == {1: F(1), 3: F(1, 2)}
 
 
 def test_bessel_series_support():
@@ -42,8 +42,8 @@ def test_bessel_series_support():
 def test_series_arithmetic():
     a = RationalSeries.from_dict({0: F(1), 1: F(1, 2)}, 3)
     b = RationalSeries.from_dict({1: F(2), 3: F(5)}, 3)
-    assert (a + b).as_dict() == {0: F(1), 1: F(5, 2), 3: F(5)}
-    assert (a * b).as_dict() == {1: F(2), 2: F(1), 3: F(5)}
+    assert dict((a + b).coefficients) == {0: F(1), 1: F(5, 2), 3: F(5)}
+    assert dict((a * b).coefficients) == {1: F(2), 2: F(1), 3: F(5)}
     assert str(RationalSeries.zero(2)) == "0"
     with pytest.raises(ValueError):
         RationalSeries.from_dict({5: F(1)}, 3)
@@ -53,8 +53,8 @@ def test_truncation_is_exact_under_products():
     # truncating inputs at M loses nothing below M since degrees only grow
     a_full = bessel_series(0, 12)
     a_cut = bessel_series(0, 6)
-    full = (a_full * a_full).as_dict()
-    cut = (a_cut * a_cut).as_dict()
+    full = dict((a_full * a_full).coefficients)
+    cut = dict((a_cut * a_cut).coefficients)
     for deg, c in cut.items():
         assert full[deg] == c
 
@@ -79,7 +79,7 @@ def test_determinant_alternating_signs():
     zero = RationalSeries.zero(4)
     # det [[0, 1], [x, 0]] = -x
     det = series_determinant([[zero, one], [x, zero]])
-    assert det.as_dict() == {1: F(-1)}
+    assert dict(det.coefficients) == {1: F(-1)}
     with pytest.raises(ValueError):
         series_determinant([[one, one]])
 

@@ -1,6 +1,7 @@
+import gc
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress, permutations, product
 from math import comb
 
 import pytest
@@ -11,7 +12,7 @@ from planarcount.graphs import (
     count_bounded_matching,
     planar_matching_profile,
 )
-from planarcount.perms import iter_permutations, perm_sign
+from planarcount.perms import perm_sign
 from planarcount.walks import (
     QuasiConfiguration,
     Walk,
@@ -29,7 +30,6 @@ from planarcount.walks import (
     in_restricted_family,
     in_reversed_family,
     is_profile_walk,
-    is_toeplitz_point,
     iter_profile_walks,
     iter_region_walks,
     iter_restricted_family,
@@ -51,6 +51,12 @@ from planarcount.walks import (
 )
 
 WORKED_LIFT = (6, 4, 2, 1, 5, 3)
+
+
+def is_toeplitz_point(point):
+    """True when point = (1 - pi(1), ..., d - pi(d)) for a permutation pi."""
+    values = [j - point[j - 1] for j in range(1, len(point) + 1)]
+    return sorted(values) == list(range(1, len(point) + 1))
 WORKED_WALK = Walk.from_text("111122|112121")
 
 
@@ -362,7 +368,7 @@ def test_shape_dp_matches_folded_enumeration(n, r, d, kind):
 
 @pytest.mark.parametrize("d", range(6))
 def test_sort_with_sign(d):
-    for perm in iter_permutations(d):
+    for perm in permutations(range(1, d + 1)):
         assert _sort_with_sign(perm) == (tuple(range(1, d + 1)), perm_sign(perm))
     for values in product(range(d), repeat=d):
         if len(set(values)) < d:
@@ -554,7 +560,7 @@ def test_crossing_pairing_small():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_crossing_inverts_profile_walk(m):
-    for perm in iter_permutations(m):
+    for perm in permutations(range(1, m + 1)):
         w = profile_walk(perm)
         assert crossing_pairing(w).as_permutation() == perm
 
@@ -599,7 +605,7 @@ def test_profile_condition_characterizes_images(m, d):
     # the prefix-profile walks; profiles are always closed
     images = {
         profile_walk(perm, d=d)
-        for perm in iter_permutations(m)
+        for perm in permutations(range(1, m + 1))
         if planar_matching_profile(perm).largest <= d
     }
     for w in all_representative_walks(m, d):
@@ -990,6 +996,27 @@ def test_first_profile_violation_is_read_lazily():
                         assert l == occurrence_profile(w).lower[u - 1]
                     walks += 1
     assert walks == 21_037
+
+
+@pytest.mark.parametrize("n,r,d", [(3, 1, 3), (2, 2, 2), (2, 2, 4), (1, 3, 3), (4, 1, 2)])
+def test_profile_walk_enumerator_order(n, r, d):
+    # positive halves in lexicographic order; for each, negative halves
+    # filled back to front, smallest value first
+    walks = [(w.pos, w.neg[::-1]) for w in iter_profile_walks(n, r, d)]
+    assert walks == sorted(set(walks))
+
+
+def test_profile_walk_enumerator_leaves_no_reference_cycles():
+    # the backtracking state lives in generator frames and arguments, so a
+    # consumed enumerator is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in iter_profile_walks(7, 1, 7):
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_profile_enumerator_counts_match_graph_counts():
