@@ -8,7 +8,8 @@ number falls out of
   * pairs of equal-shape standard Young tableaux with at most d columns
     and strict block descents,
   * a signed sum of block-restricted lattice walks over Toeplitz
-    endpoints (itself computed twice: explicit enumeration and DP).
+    endpoints (itself computed twice: a tally of half-walk histograms
+    and a DP over sorted shapes).
 """
 
 from planarcount import (

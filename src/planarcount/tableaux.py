@@ -69,9 +69,6 @@ class YoungTableau:
         return "[" + inner + "]"
 
 
-EMPTY_TABLEAU = YoungTableau(rows=())
-
-
 def _insert(rows: list[list[int]], x: int) -> tuple[int, int]:
     """Schensted insertion on plain lists, in place: x bumps the smallest
     larger entry of row 1, the bumped value recurses into row 2, and so on.
@@ -166,17 +163,19 @@ def _block_row_word(t: YoungTableau, n: int, r: int) -> list[int]:
 
 def iter_partitions(m: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Partitions of m with every part <= max_part, largest-first order."""
+    yield from _partitions(m, max_part, [])
 
-    def rec(remaining, cap, acc):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            acc.append(part)
-            yield from rec(remaining - part, part, acc)
-            acc.pop()
 
-    yield from rec(m, max_part, [])
+def _partitions(remaining: int, cap: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+    """The partitions that extend `acc` by parts <= cap summing to
+    `remaining`, largest part first."""
+    if remaining == 0:
+        yield tuple(acc)
+        return
+    for part in range(min(cap, remaining), 0, -1):
+        acc.append(part)
+        yield from _partitions(remaining - part, part, acc)
+        acc.pop()
 
 
 def enumerate_tableaux(m: int, d: int) -> Iterator[YoungTableau]:
@@ -188,19 +187,22 @@ def enumerate_tableaux(m: int, d: int) -> Iterator[YoungTableau]:
     """
     check_length_params(m, d)
     for shape in iter_partitions(m, d):
-        rows = [[] for _ in shape]
+        yield from _fill(shape, [[] for _ in shape], 1, m)
 
-        def fill(value) -> Iterator[YoungTableau]:
-            if value > m:
-                yield YoungTableau(tuple(tuple(row) for row in rows))
-                return
-            for i, row in enumerate(rows):
-                if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row)):
-                    row.append(value)
-                    yield from fill(value + 1)
-                    row.pop()
 
-        yield from fill(1)
+def _fill(
+    shape: tuple[int, ...], rows: list[list[int]], value: int, m: int
+) -> Iterator[YoungTableau]:
+    """The tableaux of `shape` that extend `rows`, which hold the values
+    below `value`, by the values value..m."""
+    if value > m:
+        yield YoungTableau(tuple(tuple(row) for row in rows))
+        return
+    for i, row in enumerate(rows):
+        if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+            row.append(value)
+            yield from _fill(shape, rows, value + 1, m)
+            row.pop()
 
 
 def iter_block_tableaux(n: int, r: int, d: int, kind: str) -> Iterator[YoungTableau]:

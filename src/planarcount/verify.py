@@ -95,12 +95,12 @@ METHODS = {
     "walks-enum": Method(
         "walks_enumerated",
         lambda n, r, d, kind: signed_walk_sum(n, r, d, kind, "enumerate"),
-        lambda n, r, d, kind: signed_walk_cost(n, r, d, kind, "enumerate"),
+        lambda n, r, d, kind: signed_walk_cost(n, r, d, kind),
     ),
     "walks-dp": Method(
         "walks_dp",
         lambda n, r, d, kind: signed_walk_sum(n, r, d, kind, "dp"),
-        lambda n, r, d, kind: signed_walk_cost(n, r, d, kind, "dp"),
+        lambda n, r, d, kind: signed_walk_cost(n, r, d, kind),
     ),
 }
 
@@ -217,7 +217,7 @@ def verify_walk_scaling(
     check_length_params(m, d)
     estimate = (
         all_walks_cost(m, d)
-        + signed_walk_cost(m, 1, d, "matching", "dp")
+        + signed_walk_cost(m, 1, d, "matching")
         + lis_cost(m)
     )
     require_budget(estimate, budget, "walk scaling")
@@ -345,7 +345,6 @@ def audit_involution(
     d: int,
     which: str,
     budget: int | None = DEFAULT_BUDGET,
-    involution: Callable[[Walk, int], Walk] | None = None,
 ) -> VerificationReport:
     """Exhaustively check one of the two sign-reversing involutions.
 
@@ -365,8 +364,9 @@ def audit_involution(
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
     check_count_params(n, r, d)
-    # one table of half-walks, joined at each of the d! Toeplitz endpoints
-    half_walks = signed_walk_cost(n, r, d, "matching", "enumerate")
+    # one table of the blocks**n matching-kind half-walks, joined at each of
+    # the d! Toeplitz endpoints
+    half_walks = comb(d + r - 1, r) ** n
     require_budget((2 * half_walks + factorial(d)) ** 2, budget, "involution audit")
 
     index: dict[Walk, int] = {}
@@ -382,9 +382,7 @@ def audit_involution(
         index[w] = len(signs)
         signs.append(sign)
 
-    rho = involution
-    if rho is None:
-        rho = nonprofile_involution if which == "second" else offregion_involution
+    rho = nonprofile_involution if which == "second" else offregion_involution
 
     # the image index of every domain walk, or -1 for an image that raised
     # or left the domain, which `strays` keeps for its note

@@ -24,6 +24,11 @@ tableau pairs.  This is Gessel and Zeilberger's reflection argument
 half-walks with histogram h to be symmetric in the d directions, which holds
 because the block count-vectors of both kinds are closed under permuting
 directions.
+
+Two counters compute the c(y), independently.  "enumerate" tallies the
+half-walks by direction histogram, the n-fold convolution of the block
+count-vectors, and folds the tally into shapes once, at the end.  "dp" adds
+one block at a time to signed shape counts, sorting after every block.
 """
 
 from __future__ import annotations
@@ -317,53 +322,22 @@ def require_budget(estimate: int, budget: int | None, what: str) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _half_walk_tally(n: int, codes: tuple[int, ...]) -> Counter:
-    """Packed histogram -> number of sequences of n block codes with that
-    sum, by visiting every sequence: a search over the first n - 2 blocks,
-    whose leaves each add every sum of the last two blocks to the prefix."""
-    tally: Counter = Counter()
-    if n < 2:
-        tally.update([0] if n == 0 else codes)
-        return tally
-    last_two = [a + b for a in codes for b in codes]
-
-    def rec(i: int, prefix: int):
-        if i == n - 2:
-            tally.update(map(prefix.__add__, last_two))
-            return
-        for code in codes:
-            rec(i + 1, prefix + code)
-
-    rec(0, 0)
-    return tally
-
-
 def _half_profiles_enumerate(n: int, r: int, d: int, kind: str) -> dict:
-    """Displacement histogram -> number of half-walks, by explicitly walking
-    every block sequence.
-
-    A histogram is packed into one int, coordinate j as the digit of
-    base**j with base = rn + 1.  Every coordinate of a half-walk's histogram
-    is at most rn, so no digit carries, and adding the codes of two
-    count-vectors is adding the count-vectors.  The search over block
-    sequences therefore runs on ints; its last two levels are one C-level
-    `Counter.update` over the prefix plus each pair of final blocks.  Each
-    half-walk is still produced once, as one addition and one count, so the
-    tally's total is blocks**n.  The tally is cached by (n, block codes), so
-    kinds whose blocks coincide (r = 1) share one enumeration."""
-    base = n * r + 1
-    codes = tuple(
-        sum(c * base**j for j, c in enumerate(counts))
-        for _, counts in _block_choices(d, r, kind)
-    )
-    profiles: dict[tuple[int, ...], int] = {}
-    for code, ways in _half_walk_tally(n, codes).items():
-        hist = []
-        for _ in range(d):
-            code, digit = divmod(code, base)
-            hist.append(digit)
-        profiles[tuple(hist)] = ways
+    """Displacement histogram -> number of half-walks, as the n-fold
+    convolution of the block count-vectors: every histogram so far is
+    extended by every block, one block at a time.  Each half-walk is counted
+    once, in its histogram's tally, so the tally's total is blocks**n.  No
+    histogram is sorted or signed here; `_fold_into_shapes` does that once,
+    at the end."""
+    vectors = [counts for _, counts in _block_choices(d, r, kind)]
+    profiles = {(0,) * d: 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, ...], int] = {}
+        for hist, ways in profiles.items():
+            for counts in vectors:
+                key = tuple(map(add, hist, counts))
+                nxt[key] = nxt.get(key, 0) + ways
+        profiles = nxt
     return profiles
 
 
@@ -464,22 +438,18 @@ def _shape_counts_dp(n: int, r: int, d: int, kind: str) -> dict:
     }
 
 
-def signed_walk_cost(n: int, r: int, d: int, kind: str, counter: str) -> int:
-    """Upper bound on the work of `signed_walk_sum` with this counter:
-    blocks**n half-walks for "enumerate"; for "dp", n steps that each add
-    every block to every shape, where a step starts from at most
-    min(blocks**k, C(rn+d, d)) shapes after k earlier steps.  The dp's move
-    table does not change the bound: it sorts once per gap class and block,
-    and a class is built only when a shape of it is first met, so the table
-    adds at most one pass of classes x blocks, which is no more than the
-    shape x block transitions counted here."""
+def signed_walk_cost(n: int, r: int, d: int, kind: str) -> int:
+    """Upper bound on the work of `signed_walk_sum`, with either counter:
+    n steps that each add every block to every state, where a step starts
+    from at most min(blocks**k, C(rn+d, d)) states after k earlier steps.
+    The states are histograms for "enumerate" and shapes for "dp".  The
+    dp's move table does not change the bound: it sorts once per gap class
+    and block, and a class is built only when a shape of it is first met,
+    so the table adds at most one pass of classes x blocks, which is no
+    more than the shape x block transitions counted here."""
     check_kind(kind)
     blocks = comb(d + r - 1, r) if kind == "matching" else comb(d, r)
-    if counter == "enumerate":
-        return blocks**n
-    if counter == "dp":
-        return n * blocks * min(blocks ** (n - 1), comb(n * r + d, d)) if n else 0
-    raise ValueError(f"unknown counter {counter!r}")
+    return n * blocks * min(blocks ** (n - 1), comb(n * r + d, d)) if n else 0
 
 
 def signed_walk_sum(
@@ -494,15 +464,18 @@ def signed_walk_sum(
 
     Evaluated as the sum of c(y)^2 over shapes y (see the module docstring),
     which holds because both kinds of block are symmetric in the d
-    directions.  Counter "enumerate" explicitly enumerates every half-walk
-    and folds its displacement histogram into shapes; counter "dp" adds one
-    block at a time to signed shape counts and never forms a histogram.
+    directions.  Counter "enumerate" tallies the half-walks by direction
+    histogram, convolving the block count-vectors, and folds the tally into
+    shapes once, at the end; counter "dp" adds one block at a time to signed
+    shape counts and never forms a histogram.
     """
     check_count_params(n, r, d)
     if counter == "enumerate":
         shapes = _fold_into_shapes(_half_profiles_enumerate(n, r, d, kind), d)
-    else:
+    elif counter == "dp":
         shapes = _shape_counts_dp(n, r, d, kind)
+    else:
+        raise ValueError(f"unknown counter {counter!r}")
     return sum(c * c for c in shapes.values())
 
 

@@ -1,3 +1,4 @@
+import gc
 from bisect import bisect_right
 from itertools import permutations
 from math import factorial
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from planarcount.graphs import count_bounded_lis, planar_matching_profile
 from planarcount.perms import perm_inverse
 from planarcount.tableaux import (
-    EMPTY_TABLEAU,
     YoungTableau,
     blocks_strictly_below,
     blocks_weakly_above,
@@ -31,6 +31,7 @@ from planarcount.walks import (
 )
 
 T = lambda *rows: YoungTableau(tuple(tuple(r) for r in rows))
+EMPTY_TABLEAU = T()
 
 WORKED_LIFT = (6, 4, 2, 1, 5, 3)
 WORKED_P = T((1, 3), (2, 5), (4,), (6,))
@@ -342,6 +343,19 @@ def test_enumerate_tableaux_counts():
     assert len(list(enumerate_tableaux(4, 2))) == 6
     assert list(enumerate_tableaux(0, 3)) == [EMPTY_TABLEAU]
     assert list(enumerate_tableaux(2, 0)) == []
+
+
+@pytest.mark.parametrize("enumerator", [enumerate_tableaux, iter_partitions])
+def test_tableau_enumerators_leave_no_reference_cycles(enumerator):
+    # the backtracking state lives in generator frames and arguments, so a
+    # consumed enumerator is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        assert list(enumerator(7, 7))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("m,d", [(4, 4), (5, 3), (6, 2), (6, 6)])

@@ -125,9 +125,20 @@ def test_involution_audit_examples():
     assert report.passed
 
 
+def audit_second_involution_with(rho):
+    """`audit_involution(2, 1, 2, "second")` with `rho` in place of the
+    second involution."""
+    real = verify.nonprofile_involution
+    verify.nonprofile_involution = rho
+    try:
+        return audit_involution(2, 1, 2, "second")
+    finally:
+        verify.nonprofile_involution = real
+
+
 def test_involution_audit_catches_broken_map():
     # identity map: fails sign reversal (and fixed points)
-    report = audit_involution(2, 1, 2, "second", involution=lambda w, r: w)
+    report = audit_second_involution_with(lambda w, r: w)
     assert not report.passed
     assert report.witness is not None
     assert report.methods["fixed_points"] > 0
@@ -136,7 +147,7 @@ def test_involution_audit_catches_broken_map():
     def swap_to_first(w, r):
         return Walk(d=w.d, pos=w.pos, neg=w.pos)
 
-    report = audit_involution(2, 1, 2, "second", involution=swap_to_first)
+    report = audit_second_involution_with(swap_to_first)
     assert not report.passed
     assert report.witness is not None
 
@@ -150,7 +161,7 @@ def test_involution_audit_reports_a_raise_on_images():
             raise ValueError("refusing an image")
         return image
 
-    report = audit_involution(2, 1, 2, "second", involution=raises_on_images)
+    report = audit_second_involution_with(raises_on_images)
     assert not report.passed
     assert report.witness is not None
     half = report.methods["domain_size"] // 2
@@ -454,7 +465,7 @@ def test_failed_report_includes_witness():
 
 def test_identity_budget_matches_the_sum_of_method_costs():
     # the estimate written out term by term: brute-force fill bound, (rn)!
-    # tableaux, and both walk counters
+    # tableaux, and the two walk counters, which share one bound
     for verify, kind in (
         (verify_matching_identity, "matching"),
         (verify_subgraph_identity, "subgraph"),
@@ -465,13 +476,12 @@ def test_identity_budget_matches_the_sum_of_method_costs():
                     estimate = (
                         comb(n + r - 1, n - 1) ** n * n
                         + factorial(n * r)
-                        + signed_walk_cost(n, r, d, kind, "enumerate")
-                        + signed_walk_cost(n, r, d, kind, "dp")
+                        + 2 * signed_walk_cost(n, r, d, kind)
                     )
                     with pytest.raises(BudgetExceeded) as refused:
                         verify(n, r, d, budget=estimate - 1)
                     assert f"estimated {estimate} nodes" in str(refused.value)
-    assert verify_matching_identity(2, 2, 2, budget=18 + 24 + 9 + 18).passed
+    assert verify_matching_identity(2, 2, 2, budget=18 + 24 + 18 + 18).passed
 
 
 def test_walk_scaling_budget_is_the_sum_of_its_layer_costs():
@@ -508,6 +518,15 @@ def test_bijection_audit_budget_is_its_up_front_estimate():
     with pytest.raises(BudgetExceeded) as refused:
         audit_bijections(2, 2, 2, budget=estimate - 1)
     assert f"estimated {estimate} nodes" in str(refused.value)
+
+
+def test_involution_audit_budget_is_its_up_front_estimate():
+    # (2 * blocks**n + d!)**2 with C(3, 2)**2 = 9 matching-kind half-walks
+    # and 2! endpoints, at (2, 2, 2)
+    with pytest.raises(BudgetExceeded) as refused:
+        audit_involution(2, 2, 2, "second", budget=399)
+    assert "estimated 400 nodes" in str(refused.value)
+    assert audit_involution(2, 2, 2, "second", budget=400).passed
 
 
 def test_bijection_audit_admitted_is_never_refused_later():
@@ -551,7 +570,7 @@ def test_count_graphs_rejects_unknown_names():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: signed_walk_cost(1, 1, 1, "bogus", "dp"),
+        lambda: signed_walk_cost(1, 1, 1, "bogus"),
         lambda: signed_walk_sum(1, 1, 1, "bogus"),
         lambda: count_tableau_pairs(1, 1, 1, "bogus"),
         lambda: list(iter_block_tableaux(1, 1, 1, "bogus")),

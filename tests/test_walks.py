@@ -349,13 +349,14 @@ ENUM_GRID = [
 @pytest.mark.parametrize("n,r,d,kind", ENUM_GRID)
 def test_half_profiles_enumerate_matches_product_reference(n, r, d, kind):
     profiles = _half_profiles_enumerate(n, r, d, kind)
-    assert sum(profiles.values()) == signed_walk_cost(n, r, d, kind, "enumerate")
+    half_walks = len(_block_choices(d, r, kind)) ** n
+    assert sum(profiles.values()) == half_walks
     if r == 1:
         other = "subgraph" if kind == "matching" else "matching"
         assert profiles == _half_profiles_enumerate(n, r, d, other)
     # the reference pays about 3 us a leaf; (7, 1, 8) and (7, 1, 9) would
     # take 20 s, so their histograms are checked above by total and kind only
-    if signed_walk_cost(n, r, d, kind, "enumerate") <= 7**7:
+    if half_walks <= 7**7:
         vectors = tuple(counts for _, counts in _block_choices(d, r, kind))
         assert profiles == product_half_profiles(n, d, vectors)
 
@@ -396,7 +397,8 @@ PINNED_COUNTS = {
 
 @pytest.mark.parametrize("n,r,d,kind", sorted(PINNED_COUNTS))
 def test_pinned_large_counts(n, r, d, kind):
-    assert signed_walk_sum(n, r, d, kind, "dp") == PINNED_COUNTS[(n, r, d, kind)]
+    for counter in ("dp", "enumerate"):
+        assert signed_walk_sum(n, r, d, kind, counter) == PINNED_COUNTS[(n, r, d, kind)]
 
 
 def reference_shape_counts_dp(n, r, d, kind):
@@ -422,7 +424,7 @@ def dp_sizes(draw):
     r = draw(st.integers(1, 4))
     d = draw(st.integers(0, 6))
     kind = draw(st.sampled_from(["matching", "subgraph"]))
-    n_max = max(n for n in range(17) if signed_walk_cost(n, r, d, kind, "dp") <= 10**5)
+    n_max = max(n for n in range(17) if signed_walk_cost(n, r, d, kind) <= 10**5)
     return draw(st.integers(0, n_max)), r, d, kind
 
 
@@ -438,13 +440,16 @@ def test_shape_dp_matches_reference_dp_at_pinned_sizes(n, r, d, kind):
 
 
 def test_signed_walk_cost():
-    assert signed_walk_cost(8, 1, 8, "matching", "enumerate") == 8**8
-    assert signed_walk_cost(12, 2, 3, "matching", "dp") == 12 * 6 * comb(27, 3)
-    assert signed_walk_cost(1, 8, 8, "matching", "dp") == comb(15, 8)
-    assert signed_walk_cost(0, 2, 3, "subgraph", "dp") == 0
-    assert signed_walk_cost(3, 2, 1, "subgraph", "dp") == 0
-    with pytest.raises(ValueError):
-        signed_walk_cost(2, 2, 2, "matching", "join")
+    assert signed_walk_cost(8, 1, 8, "matching") == 8 * 8 * comb(16, 8)
+    assert signed_walk_cost(12, 2, 3, "matching") == 12 * 6 * comb(27, 3)
+    assert signed_walk_cost(1, 8, 8, "matching") == comb(15, 8)
+    assert signed_walk_cost(0, 2, 3, "subgraph") == 0
+    assert signed_walk_cost(3, 2, 1, "subgraph") == 0
+
+
+def test_signed_walk_sum_rejects_unknown_counter():
+    with pytest.raises(ValueError, match=r"^unknown counter 'join'$"):
+        signed_walk_sum(2, 2, 2, "matching", "join")
 
 
 @pytest.mark.parametrize("n,r,d", [(2, 1, 2), (3, 1, 3), (1, 2, 2), (2, 2, 3), (4, 1, 4), (5, 1, 3)])
@@ -1014,6 +1019,17 @@ def test_profile_walk_enumerator_leaves_no_reference_cycles():
     try:
         for _ in iter_profile_walks(7, 1, 7):
             pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_enumerate_counter_leaves_no_reference_cycles():
+    # the convolution keeps its tally in plain dicts, with no closure
+    gc.collect()
+    gc.disable()
+    try:
+        assert signed_walk_sum(5, 1, 5, "matching", "enumerate") == 120
         assert gc.collect() == 0
     finally:
         gc.enable()
