@@ -69,6 +69,7 @@ from .walks import (
     profile_violations,
     profile_walk,
     region_halves,
+    restricted_halves,
     reverse_negative_half,
     signed_walk_sum,
     stays_in_dominance_region,

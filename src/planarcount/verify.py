@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import json
 import time
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import accumulate, chain
 from math import comb, factorial
+from operator import sub
 from typing import Callable, NamedTuple
 
 from .graphs import (
@@ -54,13 +57,13 @@ from .walks import (
     in_restricted_family,
     is_profile_walk,
     iter_profile_walks,
-    iter_restricted_family,
+    iter_toeplitz,
     nonprofile_involution,
     offregion_involution,
     profile_walk,
     region_halves,
     require_budget,
-    reverse_negative_half,
+    restricted_halves,
     signed_walk_cost,
     signed_walk_sum,
     translated_exit,
@@ -275,22 +278,36 @@ def verify_gessel_identity(
 # ---------------------------------------------------------------- audits
 
 
-@lru_cache(maxsize=None)
-def _lifted_configurations(n: int, r: int) -> tuple:
-    """`lifted_multigraphs(n, r)`, kept for every d the audit is run at."""
-    return tuple(lifted_multigraphs(n, r))
-
-
 class _LiftFacts(NamedTuple):
     """What the bijection audit needs to know about one lift that does not
-    depend on d: its RSK pair (None when the shapes differ), profile halves,
-    and the failure notes of the RSK checks and of the profile-walk checks."""
+    depend on d: its RSK pair (None when the shapes differ), its profile
+    image (left, right) as one key, and the failure notes of the RSK checks
+    and of the profile-walk checks."""
 
     pair: tuple | None
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    image: tuple[tuple[int, ...], tuple[int, ...]]
     rsk_notes: tuple[str, ...]
     profile_notes: tuple[str, ...]
+
+
+class _LiftTable(NamedTuple):
+    """The lift side of `audit_bijections` at one (n, r), shared by every d:
+    the lifts in `lifted_multigraphs` order, their largest planar matchings,
+    and one facts slot per lift, filled the first time some d bounds it."""
+
+    lifts: list[tuple[int, ...]]
+    sizes: bytearray
+    facts: list[_LiftFacts | None]
+
+
+@lru_cache(maxsize=None)
+def _lift_table(n: int, r: int) -> _LiftTable:
+    """The lift table of (n, r), built once per process, its slots empty."""
+    lifts, sizes = [], bytearray()
+    for lift, size, _ in lifted_multigraphs(n, r):
+        lifts.append(lift)
+        sizes.append(size)
+    return _LiftTable(lifts, sizes, [None] * len(lifts))
 
 
 @lru_cache(maxsize=None)
@@ -299,10 +316,8 @@ def _interned(t):
     return t
 
 
-@lru_cache(maxsize=None)
 def _lift_facts(lift: tuple[int, ...], n: int, r: int) -> _LiftFacts:
-    """The lift side of `audit_bijections` for one configuration, computed
-    the first time some d bounds it and reused at every later d."""
+    """The lift side of `audit_bijections` for one configuration."""
     p, q = rsk(lift)
     p, q = _interned(p), _interned(q)
     pair = None
@@ -332,8 +347,7 @@ def _lift_facts(lift: tuple[int, ...], n: int, r: int) -> _LiftFacts:
         profile_notes.append(f"crossing pairing does not invert the profile of {lift}")
     return _LiftFacts(
         pair,
-        _interned(w.pos),
-        _interned(w.neg),
+        (_interned(w.pos), _interned(w.neg)),
         tuple(rsk_notes),
         tuple(profile_notes),
     )
@@ -355,10 +369,19 @@ def audit_involution(
     permutation's sign, squares to the identity, has no fixed point, and the
     domain's signed total is zero.
 
-    The domain is one dict, walk -> index, beside a list of signs.  Every
-    walk is mapped once and its image kept as a domain index, so the checks
-    compare ints; an image that raised or left the domain is kept only for
-    its note.
+    The domain is held in arrays over one `restricted_halves` table.  A
+    family walk's position in `iter_restricted_family` order is where its
+    endpoint's walks start, plus the walks at that endpoint before its
+    positive half (one offset array per endpoint, over the half numbers),
+    plus the place of its negative half in its histogram group.  One array
+    maps family positions to domain indices; for each domain walk the audit
+    keeps its family position, a sign bit and its image's family position,
+    so the checks compare ints.  Each family walk is built as a `Walk` once,
+    to be tested for the domain and mapped; for "first" each negative half
+    is reversed once, in the table.  An image is mapped back through its half numbers; one that
+    raised, or that is no family walk (another d, a half outside the table,
+    an endpoint that is no Toeplitz point), is kept only for its note, and
+    the walk behind a note is decoded from its position.
     """
     started = time.perf_counter()
     if which not in ("first", "second"):
@@ -369,34 +392,103 @@ def audit_involution(
     half_walks = comb(d + r - 1, r) ** n
     require_budget((2 * half_walks + factorial(d)) ** 2, budget, "involution audit")
 
-    index: dict[Walk, int] = {}
-    signs: list[int] = []
-    for w, sign in iter_restricted_family(n, r, d):
-        if which == "second":
-            if is_profile_walk(w):
-                continue
-        else:
-            w = reverse_negative_half(w)
-            if translated_exit(w) is None:
-                continue
-        index[w] = len(signs)
-        signs.append(sign)
+    halves, by_hist = restricted_halves(n, r, d)
+    pos_number = {half: i for i, (half, _) in enumerate(halves)}
+    if which == "second":
+        negs, neg_number = [half for half, _ in halves], pos_number
+    else:
+        negs = [half[::-1] for half, _ in halves]
+        neg_number = {half: i for i, half in enumerate(negs)}
+    # the place of each half in its histogram group
+    rank = array("q", [0]) * len(halves)
+    for group in by_hist.values():
+        for k, i in enumerate(group):
+            rank[i] = k
+
+    # per Toeplitz endpoint: whether its permutation is odd, the group of negative halves that
+    # meets each positive half's histogram, the number of walks before each
+    # positive half, and the family position where its walks start
+    endpoint_index: dict[tuple[int, ...], int] = {}
+    endpoint_odd = []
+    partners_at = []
+    offsets = []
+    starts = array("q", [0])
+    for _, point, sign in iter_toeplitz(d, max_l1=2 * n * r):
+        partners = {
+            hist: by_hist.get(tuple(map(sub, hist, point))) for hist in by_hist
+        }
+        counts = (len(partners[hist] or ()) for _, hist in halves)
+        offsets.append(array("q", accumulate(counts, initial=0)))
+        endpoint_index[point] = len(partners_at)
+        endpoint_odd.append(sign < 0)
+        partners_at.append(partners)
+        starts.append(starts[-1] + offsets[-1][-1])
+
+    def family_position(image) -> int:
+        """The family position of an image, or -1 when it is no family walk."""
+        if image.d != d:
+            return -1
+        p = pos_number.get(image.pos)
+        q = neg_number.get(image.neg)
+        if p is None or q is None:
+            return -1
+        e = endpoint_index.get(tuple(map(sub, halves[p][1], halves[q][1])))
+        return -1 if e is None else starts[e] + offsets[e][p] + rank[q]
+
+    def walk_at(position: int) -> Walk:
+        """The domain-form walk at a family position."""
+        e = bisect_right(starts, position) - 1
+        offset = position - starts[e]
+        p = bisect_right(offsets[e], offset) - 1
+        pos, hist = halves[p]
+        q = partners_at[e][hist][offset - offsets[e][p]]
+        return Walk(d=d, pos=pos, neg=negs[q])
 
     rho = nonprofile_involution if which == "second" else offregion_involution
 
-    # the image index of every domain walk, or -1 for an image that raised
-    # or left the domain, which `strays` keeps for its note
-    image_of: list[int] = []
+    # family position -> domain index, -1 off the domain; per domain walk its
+    # family position, whether its endpoint permutation is odd, and its
+    # image's family position, -1 for an image that `strays` keeps
+    domain_at = array("q", [-1]) * starts[-1]
+    family_at = array("q")
+    odd = bytearray()
+    image_at = array("q")
     strays: dict[int, Walk | Exception] = {}
-    for k, w in enumerate(index):
-        try:
-            image = rho(w, r)
-        except Exception as exc:  # noqa: BLE001 - a refusal is a failed audit
-            image = exc
-        j = -1 if isinstance(image, Exception) else index.get(image, -1)
-        if j < 0:
-            strays[k] = image
-        image_of.append(j)
+    position = 0
+    for partners, is_odd in zip(partners_at, endpoint_odd):
+        for pos, hist in halves:
+            for q in partners[hist] or ():
+                w = Walk(d=d, pos=pos, neg=negs[q])
+                if (
+                    is_profile_walk(w)
+                    if which == "second"
+                    else translated_exit(w) is None
+                ):
+                    position += 1
+                    continue
+                k = len(odd)
+                domain_at[position] = k
+                family_at.append(position)
+                odd.append(is_odd)
+                try:
+                    image = rho(w, r)
+                except Exception as exc:  # noqa: BLE001 - a refusal is a failed audit
+                    image = exc
+                p = -1 if isinstance(image, Exception) else family_position(image)
+                if p < 0:
+                    strays[k] = image
+                image_at.append(p)
+                position += 1
+
+    def image_of(k: int) -> int:
+        """The domain index of domain walk k's image, or -1."""
+        p = image_at[k]
+        return -1 if p < 0 else domain_at[p]
+
+    def image_walk(k: int) -> Walk | Exception:
+        """Domain walk k's image, or what the involution raised on it."""
+        p = image_at[k]
+        return strays[k] if p < 0 else walk_at(p)
 
     closure_failures = 0
     sign_failures = 0
@@ -404,43 +496,42 @@ def audit_involution(
     fixed_points = 0
     witness = None
 
-    def note(w, why):
+    def note(k, why):
         nonlocal witness
         if witness is None:
-            witness = f"walk {w.to_text()}: {why}"
+            witness = f"walk {walk_at(family_at[k]).to_text()}: {why}"
 
-    for k, (w, j) in enumerate(zip(index, image_of)):
+    for k in range(len(odd)):
+        j = image_of(k)
         if j < 0:
             closure_failures += 1
-            image = strays[k]
-            if isinstance(image, Exception):
-                note(w, f"involution raised {image!r}")
-            else:
-                note(w, f"image {image.to_text()} left the domain")
+            if witness is None:
+                image = image_walk(k)
+                if isinstance(image, Exception):
+                    note(k, f"involution raised {image!r}")
+                else:
+                    note(k, f"image {image.to_text()} left the domain")
             continue
         if j == k:
             fixed_points += 1
-            note(w, "fixed point")
+            note(k, "fixed point")
             continue
-        if signs[j] != -signs[k]:
+        if odd[j] == odd[k]:
             sign_failures += 1
-            note(w, "endpoint permutation sign did not flip")
-        back = image_of[j]
-        if back == k:
+            note(k, "endpoint permutation sign did not flip")
+        if image_of(j) == k:
             continue
         self_inverse_failures += 1
         if witness is None:
-            # only the first failure's note is kept, so the walk behind an
-            # index is looked up at most once
-            back = strays[j] if back < 0 else next(islice(index, back, None))
+            back = image_walk(j)
             if isinstance(back, Exception):
-                note(w, f"rho(rho(w)) raised {back!r}")
+                note(k, f"rho(rho(w)) raised {back!r}")
             else:
-                note(w, f"rho(rho(w)) = {back.to_text()} differs")
+                note(k, f"rho(rho(w)) = {back.to_text()} differs")
 
-    signed_total = sum(signs)
+    signed_total = len(odd) - 2 * odd.count(1)
     methods = {
-        "domain_size": len(signs),
+        "domain_size": len(odd),
         "signed_total": signed_total,
         "closure_failures": closure_failures,
         "sign_flip_failures": sign_failures,
@@ -481,16 +572,22 @@ def audit_bijections(
        exactly onto the restricted walks that look like prefix profiles, with
        the crossing pairing as two-sided inverse.
 
-    The lift side does not depend on d: `_lift_facts` computes it once per
-    lift, the first time some d bounds that lift, and its checks are replayed
-    for every bounded lift.  The other side (tableaux, region halves, profile
+    The lift side does not depend on d.  It is one table per (n, r)
+    (`_lift_table`): the lifts, their largest planar matchings in a
+    bytearray, and one facts slot per lift that `_lift_facts` fills the
+    first time some d bounds that lift.  The audit reads the bounded lifts
+    from the table twice, for the RSK checks and for the profile marks, and
+    replays their notes.  The other side (tableaux, region halves, profile
     walks) is enumerated afresh here.
 
     Both sides of bijection 2 are unions of squares: the pairs are G x G
     over the tableaux G of each shape, and the region walks are
     H x reversed(H) over the region halves H of each endpoint
     (`region_halves`).  They are compared one factor at a time, so neither
-    product is built, and their sizes are sums of squares.
+    product is built, and their sizes are sums of squares.  Beyond the lift
+    table the audit holds the tableaux grouped by shape, their column words,
+    the region halves, a set of the bounded lifts' pairs and one dict from
+    each bounded lift's image key to its mark.
     """
     started = time.perf_counter()
     check_count_params(n, r, d)
@@ -508,24 +605,27 @@ def audit_bijections(
         if witness is None:
             witness = why
 
-    bounded = [
-        (lift, _lift_facts(lift, n, r))
-        for lift, size, _ in _lifted_configurations(n, r)
-        if size <= d
-    ]
+    table = _lift_table(n, r)
+    configurations = 0
 
     # --- RSK image characterization
     pairs_from_graphs = set()
-    for lift, facts in bounded:
+    for k, size in enumerate(table.sizes):
+        if size > d:
+            continue
+        configurations += 1
+        facts = table.facts[k]
+        if facts is None:
+            facts = table.facts[k] = _lift_facts(table.lifts[k], n, r)
         if facts.pair is None:
             note(facts.rsk_notes[0])
             continue
         if facts.pair[0].column_count > d:
-            note(f"configuration {lift}: more than {d} columns")
+            note(f"configuration {table.lifts[k]}: more than {d} columns")
         for why in facts.rsk_notes:
             note(why)
         pairs_from_graphs.add(facts.pair)
-    if len(pairs_from_graphs) != len(bounded):
+    if len(pairs_from_graphs) != configurations:
         note("tableau-pair map is not injective")
 
     by_shape: dict[tuple[int, ...], set] = {}
@@ -585,17 +685,18 @@ def audit_bijections(
     # some lift with that image has no profile notes: `_lift_facts` ran the
     # profile test and the crossing pairing on the same halves, and building
     # the image at d bounds its lift's largest planar matching,
-    # max(facts.left), by d
+    # max(facts.image[0]), by d
     marks: dict[tuple, int] = {}
-    for _, facts in bounded:
+    for facts, size in zip(table.facts, table.sizes):
+        if size > d:
+            continue
         for why in facts.profile_notes:
             note(why)
-        key = (facts.left, facts.right)
         if facts.profile_notes:
-            marks.setdefault(key, _UNVERIFIED)
+            marks.setdefault(facts.image, _UNVERIFIED)
         else:
-            marks[key] = _VERIFIED
-    if len(marks) != len(bounded):
+            marks[facts.image] = _VERIFIED
+    if len(marks) != configurations:
         note("profile map is not injective")
     extras = set()
     for w in iter_profile_walks(n, r, d):
@@ -633,13 +734,13 @@ def audit_bijections(
         )
 
     methods = {
-        "configurations": len(bounded),
+        "configurations": configurations,
         "tableau_pairs": pair_count,
         "region_walks": region_count,
         "profile_walks": profile_count,
         "failures": failures,
     }
-    sizes = {len(bounded), pair_count, region_count, profile_count}
+    sizes = {configurations, pair_count, region_count, profile_count}
     passed = failures == 0 and len(sizes) == 1
     params = {"n": n, "r": r, "d": d}
     return _report("bijections", params, methods, passed, witness, started)

@@ -206,21 +206,27 @@ def strictly_increasing_blocks(values, r: int) -> bool:
 
 def in_restricted_family(w: Walk, r: int, kind: str = "matching") -> bool:
     """Representative-walk block test: weakly decreasing values per block for
-    "matching", strictly increasing for "subgraph", on both halves."""
+    "matching", strictly increasing for "subgraph", on both halves.  Blocks
+    of one step are monotone either way, so r = 1 needs only the lengths."""
     check_kind(kind)
     if len(w.pos) != len(w.neg) or len(w.pos) % r:
         return False
-    check = {
-        "matching": weakly_decreasing_blocks,
-        "subgraph": strictly_increasing_blocks,
-    }[kind]
-    return check(w.pos, r) and check(w.neg, r)
+    if r == 1:
+        return True
+    if kind == "matching":
+        return weakly_decreasing_blocks(w.pos, r) and weakly_decreasing_blocks(w.neg, r)
+    return strictly_increasing_blocks(w.pos, r) and strictly_increasing_blocks(w.neg, r)
 
 
 def in_reversed_family(w: Walk, r: int) -> bool:
     """Block test after the negative half has been reversed: positive blocks
-    weakly decrease, negative blocks weakly increase."""
-    return in_restricted_family(reverse_negative_half(w), r, "matching")
+    weakly decrease, negative blocks weakly increase.  r divides the length,
+    so reversing the negative half maps its blocks onto blocks."""
+    if len(w.pos) != len(w.neg) or len(w.pos) % r:
+        return False
+    return r == 1 or (
+        weakly_decreasing_blocks(w.pos, r) and weakly_decreasing_blocks(w.neg[::-1], r)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -242,12 +248,13 @@ def _block_choices(d: int, r: int, kind: str) -> tuple:
     return tuple(out)
 
 
-def _restricted_halves(n: int, r: int, d: int, kind: str):
+def restricted_halves(n: int, r: int, d: int, kind: str = "matching"):
     """The blocks**n half-walks of one (n, r, d, kind), built one block at a
     time: every half with its direction histogram, in lexicographic order
-    of its block sequence, and the same halves grouped by histogram, each
-    group in that order.  Positive and negative halves obey the same block
-    condition, so one table serves both sides of every endpoint."""
+    of its block sequence, and the same halves grouped by histogram, as
+    their numbers in that order.  Positive and negative halves obey the
+    same block condition, so one table serves both sides of every endpoint."""
+    check_count_params(n, r, d)
     blocks = _block_choices(d, r, kind)
     halves = [((), (0,) * d)]
     for _ in range(n):
@@ -256,14 +263,14 @@ def _restricted_halves(n: int, r: int, d: int, kind: str):
             for values, hist in halves
             for block, counts in blocks
         ]
-    by_hist: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for values, hist in halves:
-        by_hist.setdefault(hist, []).append(values)
+    by_hist: dict[tuple[int, ...], list[int]] = {}
+    for i, (_, hist) in enumerate(halves):
+        by_hist.setdefault(hist, []).append(i)
     return halves, by_hist
 
 
 def _join_halves(halves, by_hist, d: int, target) -> Iterator[Walk]:
-    """The walks to `target` from one table of `_restricted_halves`: every
+    """The walks to `target` from one table of `restricted_halves`: every
     positive half with histogram h, followed by every negative half with
     histogram h - target.  A difference with a negative entry is no
     histogram and finds no group."""
@@ -274,8 +281,8 @@ def _join_halves(halves, by_hist, d: int, target) -> Iterator[Walk]:
     for pos, hist in halves:
         negs = partners[hist]
         if negs:
-            for neg in negs:
-                yield Walk(d=d, pos=pos, neg=neg)
+            for j in negs:
+                yield Walk(d=d, pos=pos, neg=halves[j][0])
 
 
 def iter_restricted_walks(n: int, r: int, d: int, pi, kind: str = "matching"):
@@ -284,7 +291,7 @@ def iter_restricted_walks(n: int, r: int, d: int, pi, kind: str = "matching"):
 
     Positive halves are produced in lexicographic order of their block
     sequence, then negative halves likewise.  The walks are joined from one
-    table of half-walks (`_restricted_halves`): each positive half with
+    table of half-walks (`restricted_halves`): each positive half with
     histogram h meets the negative halves with histogram h - T(pi), so no
     negative half is searched for twice.
     """
@@ -292,15 +299,14 @@ def iter_restricted_walks(n: int, r: int, d: int, pi, kind: str = "matching"):
     target = toeplitz_point(pi)
     if len(target) != d:
         raise ValueError(f"endpoint permutation must have length {d}")
-    yield from _join_halves(*_restricted_halves(n, r, d, kind), d, target)
+    yield from _join_halves(*restricted_halves(n, r, d, kind), d, target)
 
 
 def iter_restricted_family(n: int, r: int, d: int) -> Iterator[tuple[Walk, int]]:
     """(walk, sign of endpoint permutation) for the matching-kind walks of
     `iter_restricted_walks` over all Toeplitz endpoints, in `iter_toeplitz`
-    order: one table of half-walks, joined at every endpoint."""
-    check_count_params(n, r, d)
-    halves, by_hist = _restricted_halves(n, r, d, "matching")
+    order: the join of one `restricted_halves` table at every endpoint."""
+    halves, by_hist = restricted_halves(n, r, d)
     for _, point, sign in iter_toeplitz(d, max_l1=2 * n * r):
         for w in _join_halves(halves, by_hist, d, point):
             yield w, sign
@@ -701,16 +707,14 @@ def translated_exit(w: Walk) -> tuple[int, int] | None:
     strictly ordered point can only tie the moved coordinate with the
     neighbour it moves towards, so the exit is always that one tie."""
     point = list(range(w.d - 1, -1, -1))
-    for t, step in enumerate(walk_steps(w), start=1):
-        j = abs(step)
-        if step > 0:
-            point[j - 1] += 1
-            if j > 1 and point[j - 2] == point[j - 1]:
-                return t, j - 1
-        else:
-            point[j - 1] -= 1
-            if j < w.d and point[j - 1] == point[j]:
-                return t, j
+    for t, j in enumerate(w.pos, start=1):
+        point[j - 1] += 1
+        if j > 1 and point[j - 2] == point[j - 1]:
+            return t, j - 1
+    for t, j in enumerate(w.neg, start=len(w.pos) + 1):
+        point[j - 1] -= 1
+        if j < w.d and point[j - 1] == point[j]:
+            return t, j
     return None
 
 

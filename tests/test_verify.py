@@ -182,7 +182,7 @@ def test_bijection_audit_catches_a_wrong_rsk_pair():
         return (q, p) if tuple(perm) == bad_lift else (p, q)
 
     verify.rsk = wrong_rsk
-    verify._lift_facts.cache_clear()
+    verify._lift_table.cache_clear()
     try:
         for d in range(4):
             report = audit_bijections(3, 1, d)
@@ -196,19 +196,20 @@ def test_bijection_audit_catches_a_wrong_rsk_pair():
                 )
     finally:
         verify.rsk = real_rsk
-        verify._lift_facts.cache_clear()
+        verify._lift_table.cache_clear()
     assert all(audit_bijections(3, 1, d).passed for d in range(4))
 
 
 def test_bijection_audit_works_only_on_bounded_lifts():
-    # a single-d call computes lift facts for the lifts bounded by d alone;
-    # a larger d then adds the newly bounded ones
-    verify._lift_facts.cache_clear()
+    # a single-d call fills the facts slots of the lifts bounded by d alone;
+    # a larger d then fills the newly bounded ones
+    verify._lift_table.cache_clear()
     for d, bounded in ((1, 1), (2, 14), (4, 24)):
         report = audit_bijections(4, 1, d)
         assert report.passed
         assert report.methods["configurations"] == bounded
-        assert verify._lift_facts.cache_info().currsize == bounded
+        facts = verify._lift_table(4, 1).facts
+        assert sum(slot is not None for slot in facts) == bounded
 
 
 @pytest.mark.parametrize(
@@ -257,12 +258,12 @@ def test_bijection_audit_reports_a_profile_walk_mapped_out_of_bounds():
         return real(w)
 
     verify.crossing_pairing = identity_for_flat
-    verify._lift_facts.cache_clear()
+    verify._lift_table.cache_clear()
     try:
         report = audit_bijections(3, 1, 1)
     finally:
         verify.crossing_pairing = real
-        verify._lift_facts.cache_clear()
+        verify._lift_table.cache_clear()
     assert not report.passed
     # the lift side notes the broken inverse, the walk side the bound
     assert report.methods["failures"] == 2
@@ -388,12 +389,12 @@ def test_bijection_audit_pairs_each_profile_walk_once():
         return real(w)
 
     verify.crossing_pairing = counting
-    verify._lift_facts.cache_clear()
+    verify._lift_table.cache_clear()
     try:
         report = audit_bijections(4, 1, 4)
     finally:
         verify.crossing_pairing = real
-        verify._lift_facts.cache_clear()
+        verify._lift_table.cache_clear()
     assert report.passed
     assert len(calls) == report.methods["configurations"] == 24
 
@@ -623,3 +624,55 @@ def test_audits_hold_no_witness_products():
     assert transient_peak_mib(lambda: audit_bijections(7, 1, 7)) < 3
     for which in ("first", "second"):
         assert transient_peak_mib(lambda: audit_involution(5, 1, 3, which)) < 5
+
+
+def test_audits_hold_flat_domains_and_one_lift_table():
+    # the involution domain is arrays over the half-walk table, and the lift
+    # side one table per (n, r): a dict from walk to index needed 3.8 and
+    # 2.2 MiB for the involutions at (5, 1, 3), and a per-lift cache with a
+    # copied list of bounded lifts 1.7 MiB at (7, 1, 7)
+    for which in ("first", "second"):
+        assert transient_peak_mib(lambda: audit_involution(5, 1, 3, which)) < 1
+    assert transient_peak_mib(lambda: audit_bijections(7, 1, 7)) < 1.5
+
+
+# (label, image of w) for images that are no walk of the family: another d,
+# a half longer than rn, and halves of the table joined at (rn, 0, .., -rn)
+NO_FAMILY_WALK = {
+    "wider": lambda w, r: Walk(d=w.d + 1, pos=w.pos, neg=w.neg),
+    "longer": lambda w, r: Walk(d=w.d, pos=w.pos + (1,), neg=w.neg + (1,)),
+    "off_toeplitz": lambda w, r: Walk(
+        d=w.d, pos=(1,) * len(w.pos), neg=(w.d,) * len(w.neg)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "which,image,witness",
+    [
+        ("first", "wider", "walk 112|112: image 112|112 left the domain"),
+        ("first", "longer", "walk 112|112: image 1121|1121 left the domain"),
+        ("first", "off_toeplitz", "walk 112|112: image 111|222 left the domain"),
+        ("second", "wider", "walk 112|211: image 112|211 left the domain"),
+        ("second", "longer", "walk 112|211: image 1121|2111 left the domain"),
+        ("second", "off_toeplitz", "walk 112|211: image 111|222 left the domain"),
+    ],
+)
+def test_involution_audit_notes_an_image_outside_the_family(which, image, witness):
+    name = "offregion_involution" if which == "first" else "nonprofile_involution"
+    real = getattr(verify, name)
+    setattr(verify, name, NO_FAMILY_WALK[image])
+    try:
+        report = audit_involution(3, 1, 2, which)
+    finally:
+        setattr(verify, name, real)
+    assert not report.passed
+    assert report.methods == {
+        "domain_size": 30,
+        "signed_total": 0,
+        "closure_failures": 30,
+        "sign_flip_failures": 0,
+        "self_inverse_failures": 0,
+        "fixed_points": 0,
+    }
+    assert report.witness == witness

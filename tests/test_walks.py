@@ -41,12 +41,15 @@ from planarcount.walks import (
     profile_violations,
     profile_walk,
     region_halves,
+    restricted_halves,
     reverse_negative_half,
     signed_walk_cost,
     signed_walk_sum,
     stays_in_dominance_region,
+    strictly_increasing_blocks,
     toeplitz_point,
     translated_exit,
+    walk_steps,
     weakly_decreasing_blocks,
 )
 
@@ -817,6 +820,84 @@ def test_involutions_match_block_loop_references_on_the_audit_grid():
                         assert rho(w, r) == reference(w, r), (which, r, w.to_text())
                         walks += 1
     assert walks == 41_628
+
+
+def reference_in_restricted_family(w, r, kind="matching"):
+    """`in_restricted_family` as a dict of block checks, scanned at every r."""
+    check = {
+        "matching": weakly_decreasing_blocks,
+        "subgraph": strictly_increasing_blocks,
+    }[kind]
+    if len(w.pos) != len(w.neg) or len(w.pos) % r:
+        return False
+    return check(w.pos, r) and check(w.neg, r)
+
+
+def reference_in_reversed_family(w, r):
+    """`in_reversed_family` through a reversed `Walk`."""
+    return reference_in_restricted_family(reverse_negative_half(w), r)
+
+
+def reference_translated_exit(w):
+    """`translated_exit` over the signed step sequence of `walk_steps`."""
+    point = list(range(w.d - 1, -1, -1))
+    for t, step in enumerate(walk_steps(w), start=1):
+        j = abs(step)
+        if step > 0:
+            point[j - 1] += 1
+            if j > 1 and point[j - 2] == point[j - 1]:
+                return t, j - 1
+        else:
+            point[j - 1] -= 1
+            if j < w.d and point[j - 1] == point[j]:
+                return t, j
+    return None
+
+
+def test_walk_predicates_match_their_references_on_the_audit_grid():
+    # every restricted walk of the involution audits' grid (rn <= 5, d <= 3)
+    # and its reversal, tested at its own r and at every r <= 3
+    walks = 0
+    for r in range(1, 6):
+        for n in range(5 // r + 1):
+            for d in range(4):
+                for w, _ in iter_restricted_family(n, r, d):
+                    for v in (w, reverse_negative_half(w)):
+                        assert translated_exit(v) == reference_translated_exit(v)
+                        for s in {r, 1, 2, 3}:
+                            assert in_reversed_family(v, s) == (
+                                reference_in_reversed_family(v, s)
+                            ), (s, v.to_text())
+                            for kind in ("matching", "subgraph"):
+                                assert in_restricted_family(v, s, kind) == (
+                                    reference_in_restricted_family(v, s, kind)
+                                ), (s, kind, v.to_text())
+                    walks += 1
+    assert walks == 21_057
+
+
+@pytest.mark.parametrize("n,r,d", [(0, 1, 2), (3, 1, 2), (2, 2, 3), (1, 3, 2), (4, 1, 3)])
+def test_restricted_halves_joined_at_every_endpoint_is_the_family(n, r, d):
+    halves, by_hist = restricted_halves(n, r, d)
+    blocks = _block_choices(d, r, "matching")
+    assert [values for values, _ in halves] == [
+        tuple(v for block, _ in seq for v in block) for seq in product(blocks, repeat=n)
+    ]
+    for values, hist in halves:
+        assert hist == tuple(values.count(v) for v in range(1, d + 1))
+    assert sorted(i for group in by_hist.values() for i in group) == list(
+        range(len(halves))
+    )
+    for hist, group in by_hist.items():
+        assert group == sorted(group)
+        assert all(halves[i][1] == hist for i in group)
+    joined = [
+        (Walk(d=d, pos=pos, neg=halves[j][0]), sign)
+        for _, point, sign in iter_toeplitz(d, max_l1=2 * n * r)
+        for pos, hist in halves
+        for j in by_hist.get(tuple(h - t for h, t in zip(hist, point)), ())
+    ]
+    assert joined == list(iter_restricted_family(n, r, d))
 
 
 @st.composite
