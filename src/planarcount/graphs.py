@@ -60,9 +60,10 @@ class Multigraph:
 
     @classmethod
     def from_text(cls, text: str, r: int | None = None) -> "Multigraph":
-        rows = tuple(
-            tuple(int(x) for x in part.split(",")) for part in text.strip().split(";")
-        )
+        try:
+            rows = tuple(tuple(map(int, p.split(","))) for p in text.strip().split(";"))
+        except ValueError as exc:
+            raise ValueError(f"malformed multigraph {text!r}") from exc
         if r is None:
             r = sum(rows[0]) if rows and rows[0] else 0
         return cls(n=len(rows), r=r, rows=rows)
@@ -158,10 +159,10 @@ def _subgraph_row(best: tuple[int, ...], row: tuple[int, ...]) -> tuple[int, ...
     return tuple(out)
 
 
-def _fill(n: int, r: int) -> Iterator[tuple[Multigraph, tuple[int, ...], int, int]]:
-    """The one row-by-row search over multigraphs: each graph, checked, with
+def _fill(n: int, r: int) -> Iterator[tuple[tuple, tuple[int, ...], int, int]]:
+    """The one row-by-row search over multigraphs: each graph's rows, with
     its checked canonical lift, largest planar matching and largest planar
-    subgraph.
+    subgraph.  Only `enumerate_multigraphs` checks the rows as a `Multigraph`.
 
     Rows are taken from the compositions of r into n parts, largest first.
     A row must fit under the remaining column sums; any remainder with the
@@ -185,8 +186,7 @@ def _fill(n: int, r: int) -> Iterator[tuple[Multigraph, tuple[int, ...], int, in
     while stack:
         done, lift, piles, best, col_rem = stack.pop()
         if len(done) == n:
-            g = Multigraph(n=n, r=r, rows=done)
-            yield g, check_permutation(lift), len(piles), best[-1]
+            yield done, check_permutation(lift), len(piles), best[-1]
             continue
         moves = table.get(col_rem)
         if moves is None:
@@ -206,8 +206,8 @@ def _fill(n: int, r: int) -> Iterator[tuple[Multigraph, tuple[int, ...], int, in
 def enumerate_multigraphs(n: int, r: int) -> Iterator[Multigraph]:
     """Every n x n nonnegative matrix with all row/column sums r, exactly
     once, in descending order of the flattened matrix (see `_fill`)."""
-    for g, _, _, _ in _fill(n, r):
-        yield g
+    for rows, _, _, _ in _fill(n, r):
+        yield Multigraph(n=n, r=r, rows=rows)
 
 
 def canonical_lift(g: Multigraph) -> tuple[int, ...]:
@@ -285,6 +285,8 @@ def lifted_multigraphs(n: int, r: int) -> Iterator[tuple[tuple[int, ...], int, i
     at a time as the search descends (see `_fill`)."""
     for _, lift, matching, subgraph in _fill(n, r):
         yield lift, matching, subgraph
+
+
 @lru_cache(maxsize=None)
 def _size_histogram(n: int, r: int) -> Counter:
     """How many multigraphs have each (largest matching, largest subgraph)."""

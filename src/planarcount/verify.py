@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import time
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from math import comb, factorial
 from operator import sub
 from typing import Callable, NamedTuple
@@ -369,19 +369,19 @@ def audit_involution(
     permutation's sign, squares to the identity, has no fixed point, and the
     domain's signed total is zero.
 
-    The domain is held in arrays over one `restricted_halves` table.  A
-    family walk's position in `iter_restricted_family` order is where its
-    endpoint's walks start, plus the walks at that endpoint before its
-    positive half (one offset array per endpoint, over the half numbers),
-    plus the place of its negative half in its histogram group.  One array
-    maps family positions to domain indices; for each domain walk the audit
-    keeps its family position, a sign bit and its image's family position,
-    so the checks compare ints.  Each family walk is built as a `Walk` once,
-    to be tested for the domain and mapped; for "first" each negative half
-    is reversed once, in the table.  An image is mapped back through its half numbers; one that
-    raised, or that is no family walk (another d, a half outside the table,
-    an endpoint that is no Toeplitz point), is kept only for its note, and
-    the walk behind a note is decoded from its position.
+    The domain is held in arrays over one `restricted_halves` table of H
+    halves.  A family walk is named by one int, its key (e*H + p)*H + q:
+    e is its endpoint's index in `iter_toeplitz` order, p and q the numbers
+    of its positive and negative halves.  Each histogram group lists its
+    half numbers in ascending order, so keys increase in family order.  For
+    each domain walk the audit keeps its key, a sign bit and its image's
+    key; an image's domain index is found by bisection, so the checks
+    compare ints.  Each family walk is built as a `Walk` once, to be tested
+    for the domain and mapped; for "first" each negative half is reversed
+    once, in the table.  An image that raised, or that is no family walk
+    (another d, a half outside the table, an endpoint that is no Toeplitz
+    point), is kept only for its note, and the walk behind a note is
+    decoded from its key.
     """
     started = time.perf_counter()
     if which not in ("first", "second"):
@@ -393,102 +393,62 @@ def audit_involution(
     require_budget((2 * half_walks + factorial(d)) ** 2, budget, "involution audit")
 
     halves, by_hist = restricted_halves(n, r, d)
+    size = len(halves)
     pos_number = {half: i for i, (half, _) in enumerate(halves)}
     if which == "second":
         negs, neg_number = [half for half, _ in halves], pos_number
     else:
         negs = [half[::-1] for half, _ in halves]
         neg_number = {half: i for i, half in enumerate(negs)}
-    # the place of each half in its histogram group
-    rank = array("q", [0]) * len(halves)
-    for group in by_hist.values():
-        for k, i in enumerate(group):
-            rank[i] = k
+    endpoints = list(iter_toeplitz(d, max_l1=2 * n * r))
+    endpoint_index = {point: e for e, (_, point, _) in enumerate(endpoints)}
 
-    # per Toeplitz endpoint: whether its permutation is odd, the group of negative halves that
-    # meets each positive half's histogram, the number of walks before each
-    # positive half, and the family position where its walks start
-    endpoint_index: dict[tuple[int, ...], int] = {}
-    endpoint_odd = []
-    partners_at = []
-    offsets = []
-    starts = array("q", [0])
-    for _, point, sign in iter_toeplitz(d, max_l1=2 * n * r):
-        partners = {
-            hist: by_hist.get(tuple(map(sub, hist, point))) for hist in by_hist
-        }
-        counts = (len(partners[hist] or ()) for _, hist in halves)
-        offsets.append(array("q", accumulate(counts, initial=0)))
-        endpoint_index[point] = len(partners_at)
-        endpoint_odd.append(sign < 0)
-        partners_at.append(partners)
-        starts.append(starts[-1] + offsets[-1][-1])
-
-    def family_position(image) -> int:
-        """The family position of an image, or -1 when it is no family walk."""
-        if image.d != d:
-            return -1
+    def family_key(image) -> int:
+        """The key of an image, or -1 when it is no family walk."""
         p = pos_number.get(image.pos)
         q = neg_number.get(image.neg)
-        if p is None or q is None:
+        if image.d != d or p is None or q is None:
             return -1
         e = endpoint_index.get(tuple(map(sub, halves[p][1], halves[q][1])))
-        return -1 if e is None else starts[e] + offsets[e][p] + rank[q]
+        return -1 if e is None else (e * size + p) * size + q
 
-    def walk_at(position: int) -> Walk:
-        """The domain-form walk at a family position."""
-        e = bisect_right(starts, position) - 1
-        offset = position - starts[e]
-        p = bisect_right(offsets[e], offset) - 1
-        pos, hist = halves[p]
-        q = partners_at[e][hist][offset - offsets[e][p]]
-        return Walk(d=d, pos=pos, neg=negs[q])
+    def walk_at(key: int) -> Walk:
+        """The domain-form walk of a key."""
+        rest, q = divmod(key, size)
+        return Walk(d=d, pos=halves[rest % size][0], neg=negs[q])
 
     rho = nonprofile_involution if which == "second" else offregion_involution
 
-    # family position -> domain index, -1 off the domain; per domain walk its
-    # family position, whether its endpoint permutation is odd, and its
-    # image's family position, -1 for an image that `strays` keeps
-    domain_at = array("q", [-1]) * starts[-1]
-    family_at = array("q")
+    # per domain walk: its key, whether its endpoint permutation is odd, and
+    # its image's key, -1 for an image that `strays` keeps
+    keys = array("q")
     odd = bytearray()
-    image_at = array("q")
+    image_keys = array("q")
     strays: dict[int, Walk | Exception] = {}
-    position = 0
-    for partners, is_odd in zip(partners_at, endpoint_odd):
-        for pos, hist in halves:
-            for q in partners[hist] or ():
+    for e, (_, point, sign) in enumerate(endpoints):
+        for p, (pos, hist) in enumerate(halves):
+            for q in by_hist.get(tuple(map(sub, hist, point)), ()):
                 w = Walk(d=d, pos=pos, neg=negs[q])
                 if (
                     is_profile_walk(w)
                     if which == "second"
                     else translated_exit(w) is None
                 ):
-                    position += 1
                     continue
-                k = len(odd)
-                domain_at[position] = k
-                family_at.append(position)
-                odd.append(is_odd)
                 try:
                     image = rho(w, r)
                 except Exception as exc:  # noqa: BLE001 - a refusal is a failed audit
                     image = exc
-                p = -1 if isinstance(image, Exception) else family_position(image)
-                if p < 0:
-                    strays[k] = image
-                image_at.append(p)
-                position += 1
-
-    def image_of(k: int) -> int:
-        """The domain index of domain walk k's image, or -1."""
-        p = image_at[k]
-        return -1 if p < 0 else domain_at[p]
+                key = -1 if isinstance(image, Exception) else family_key(image)
+                if key < 0:
+                    strays[len(keys)] = image
+                keys.append((e * size + p) * size + q)
+                odd.append(sign < 0)
+                image_keys.append(key)
 
     def image_walk(k: int) -> Walk | Exception:
         """Domain walk k's image, or what the involution raised on it."""
-        p = image_at[k]
-        return strays[k] if p < 0 else walk_at(p)
+        return strays[k] if image_keys[k] < 0 else walk_at(image_keys[k])
 
     closure_failures = 0
     sign_failures = 0
@@ -499,11 +459,12 @@ def audit_involution(
     def note(k, why):
         nonlocal witness
         if witness is None:
-            witness = f"walk {walk_at(family_at[k]).to_text()}: {why}"
+            witness = f"walk {walk_at(keys[k]).to_text()}: {why}"
 
-    for k in range(len(odd)):
-        j = image_of(k)
-        if j < 0:
+    for k, key in enumerate(image_keys):
+        # the image's domain index; a stray's key -1 is found nowhere
+        j = bisect_left(keys, key)
+        if j == len(keys) or keys[j] != key:
             closure_failures += 1
             if witness is None:
                 image = image_walk(k)
@@ -519,7 +480,7 @@ def audit_involution(
         if odd[j] == odd[k]:
             sign_failures += 1
             note(k, "endpoint permutation sign did not flip")
-        if image_of(j) == k:
+        if image_keys[j] == keys[k]:
             continue
         self_inverse_failures += 1
         if witness is None:

@@ -91,7 +91,10 @@ class Walk:
                 return tuple(int(x) for x in s.split(","))
             return tuple(int(ch) for ch in s)
 
-        pos, neg = half(left), half(right)
+        try:
+            pos, neg = half(left), half(right)
+        except ValueError as exc:
+            raise ValueError(f"malformed walk {text!r}") from exc
         if d is None:
             d = max(pos + neg, default=0)
         return cls(d=d, pos=pos, neg=neg)

@@ -189,6 +189,12 @@ def test_demo_phi_from_permutation(capsys):
 def test_demo_parse_failure(capsys):
     code, _, err = run(capsys, "demo", "walk", "--walk", "11|2|1")
     assert code == 2
+    code, _, err = run(capsys, "demo", "walk", "--walk", "x|1")
+    assert code == 2
+    assert err.strip() == "error: malformed walk 'x|1'"
+    code, _, err = run(capsys, "demo", "phi", "--graph", "1,x;0,1")
+    assert code == 2
+    assert err.strip() == "error: malformed multigraph '1,x;0,1'"
 
 
 def test_verify_plk_cli_and_threads(capsys):

@@ -26,13 +26,19 @@ from planarcount.walks import (
     BudgetExceeded,
     QuasiConfiguration,
     Walk,
+    endpoint,
     in_restricted_family,
+    is_profile_walk,
     iter_restricted_family,
     iter_restricted_walks,
     iter_toeplitz,
     nonprofile_involution,
+    offregion_involution,
+    restricted_halves,
+    reverse_negative_half,
     signed_walk_cost,
     signed_walk_sum,
+    translated_exit,
 )
 
 
@@ -125,43 +131,62 @@ def test_involution_audit_examples():
     assert report.passed
 
 
+INVOLUTIONS = {"first": offregion_involution, "second": nonprofile_involution}
+
+
+def audit_involution_with(rho, n, r, d, which):
+    """`audit_involution(n, r, d, which)` with `rho` in place of the
+    involution of `which`."""
+    name = INVOLUTIONS[which].__name__
+    setattr(verify, name, rho)
+    try:
+        return audit_involution(n, r, d, which)
+    finally:
+        setattr(verify, name, INVOLUTIONS[which])
+
+
 def audit_second_involution_with(rho):
     """`audit_involution(2, 1, 2, "second")` with `rho` in place of the
     second involution."""
-    real = verify.nonprofile_involution
-    verify.nonprofile_involution = rho
-    try:
-        return audit_involution(2, 1, 2, "second")
-    finally:
-        verify.nonprofile_involution = real
+    return audit_involution_with(rho, 2, 1, 2, "second")
+
+
+def identity_map(w, r):
+    return w
+
+
+def constant_map(w, r):
+    return Walk(d=w.d, pos=w.pos, neg=w.pos)
+
+
+def raising_on_images(rho):
+    """`rho` on the lexicographically smaller walk of every pair, a raise on
+    the larger one: the smaller walk's image cannot be mapped back."""
+
+    def raises_on_images(w, r):
+        image = rho(w, r)
+        if (w.pos, w.neg) > (image.pos, image.neg):
+            raise ValueError("refusing an image")
+        return image
+
+    return raises_on_images
 
 
 def test_involution_audit_catches_broken_map():
     # identity map: fails sign reversal (and fixed points)
-    report = audit_second_involution_with(lambda w, r: w)
+    report = audit_second_involution_with(identity_map)
     assert not report.passed
     assert report.witness is not None
     assert report.methods["fixed_points"] > 0
 
     # constant map: fails self-inverse / closure
-    def swap_to_first(w, r):
-        return Walk(d=w.d, pos=w.pos, neg=w.pos)
-
-    report = audit_second_involution_with(swap_to_first)
+    report = audit_second_involution_with(constant_map)
     assert not report.passed
     assert report.witness is not None
 
 
 def test_involution_audit_reports_a_raise_on_images():
-    # the true map on the lexicographically smaller walk of every pair, a
-    # raise on the larger one: the smaller walk's image cannot be mapped back
-    def raises_on_images(w, r):
-        image = nonprofile_involution(w, r)
-        if (w.pos, w.neg) > (image.pos, image.neg):
-            raise ValueError("refusing an image")
-        return image
-
-    report = audit_second_involution_with(raises_on_images)
+    report = audit_second_involution_with(raising_on_images(nonprofile_involution))
     assert not report.passed
     assert report.witness is not None
     half = report.methods["domain_size"] // 2
@@ -627,10 +652,11 @@ def test_audits_hold_no_witness_products():
 
 
 def test_audits_hold_flat_domains_and_one_lift_table():
-    # the involution domain is arrays over the half-walk table, and the lift
-    # side one table per (n, r): a dict from walk to index needed 3.8 and
-    # 2.2 MiB for the involutions at (5, 1, 3), and a per-lift cache with a
-    # copied list of bounded lifts 1.7 MiB at (7, 1, 7)
+    # the involution domain is three arrays over the half-walk table (keys,
+    # sign bits, image keys; about 0.5 MiB at (5, 1, 3)), and the lift side
+    # one table per (n, r): a dict from walk to index needed 3.8 and 2.2 MiB
+    # for the involutions at (5, 1, 3), and a per-lift cache with a copied
+    # list of bounded lifts 1.7 MiB at (7, 1, 7)
     for which in ("first", "second"):
         assert transient_peak_mib(lambda: audit_involution(5, 1, 3, which)) < 1
     assert transient_peak_mib(lambda: audit_bijections(7, 1, 7)) < 1.5
@@ -659,13 +685,7 @@ NO_FAMILY_WALK = {
     ],
 )
 def test_involution_audit_notes_an_image_outside_the_family(which, image, witness):
-    name = "offregion_involution" if which == "first" else "nonprofile_involution"
-    real = getattr(verify, name)
-    setattr(verify, name, NO_FAMILY_WALK[image])
-    try:
-        report = audit_involution(3, 1, 2, which)
-    finally:
-        setattr(verify, name, real)
+    report = audit_involution_with(NO_FAMILY_WALK[image], 3, 1, 2, which)
     assert not report.passed
     assert report.methods == {
         "domain_size": 30,
@@ -676,3 +696,120 @@ def test_involution_audit_notes_an_image_outside_the_family(which, image, witnes
         "fixed_points": 0,
     }
     assert report.witness == witness
+
+
+def reference_involution_audit(n, r, d, which, rho):
+    """The report of `audit_involution(n, r, d, which)` with `rho` as the
+    involution, in the predicate form: an image is a member when its d
+    matches, its halves are in the table, it ends at a Toeplitz point and it
+    passes the domain test; rho(rho(w)) is a second call, and nothing is
+    stored."""
+    table = {half for half, _ in restricted_halves(n, r, d)[0]}
+    signs = {point: sign for _, point, sign in iter_toeplitz(d, max_l1=2 * n * r)}
+    first = which == "first"
+
+    def in_domain(w):
+        return translated_exit(w) is not None if first else not is_profile_walk(w)
+
+    def is_member(w):
+        return (
+            w.d == d
+            and w.pos in table
+            and (w.neg[::-1] if first else w.neg) in table
+            and endpoint(w) in signs
+            and in_domain(w)
+        )
+
+    def image(w):
+        try:
+            return rho(w, r)
+        except Exception as exc:  # noqa: BLE001 - a refusal is a failed audit
+            return exc
+
+    methods = dict.fromkeys(
+        (
+            "domain_size",
+            "signed_total",
+            "closure_failures",
+            "sign_flip_failures",
+            "self_inverse_failures",
+            "fixed_points",
+        ),
+        0,
+    )
+    witness = None
+
+    def note(failure, w, why):
+        nonlocal witness
+        methods[failure] += 1
+        if witness is None:
+            witness = f"walk {w.to_text()}: {why}"
+
+    for w, sign in iter_restricted_family(n, r, d):
+        if first:
+            w = reverse_negative_half(w)
+        if not in_domain(w):
+            continue
+        methods["domain_size"] += 1
+        methods["signed_total"] += sign
+        v = image(w)
+        if isinstance(v, Exception):
+            note("closure_failures", w, f"involution raised {v!r}")
+            continue
+        if not is_member(v):
+            note("closure_failures", w, f"image {v.to_text()} left the domain")
+            continue
+        if v == w:
+            note("fixed_points", w, "fixed point")
+            continue
+        if signs[endpoint(v)] == sign:
+            note("sign_flip_failures", w, "endpoint permutation sign did not flip")
+        back = image(v)
+        if back == w:
+            continue
+        if isinstance(back, Exception):
+            note("self_inverse_failures", w, f"rho(rho(w)) raised {back!r}")
+        else:
+            note("self_inverse_failures", w, f"rho(rho(w)) = {back.to_text()} differs")
+    passed = methods["signed_total"] == 0 and witness is None
+    params = {"n": n, "r": r, "d": d}
+    return VerificationReport(
+        f"involution-{which}", params, methods, passed, witness, 0.0
+    )
+
+
+@pytest.mark.parametrize("which", ["first", "second"])
+def test_involution_audit_equals_the_reference_on_the_grid(which):
+    for n in range(1, 6):
+        for r in range(1, 5 // n + 1):
+            for d in range(4):
+                expected = reference_involution_audit(
+                    n, r, d, which, INVOLUTIONS[which]
+                )
+                report = audit_involution(n, r, d, which)
+                assert report.content() == expected.content(), (n, r, d)
+
+
+def broken_maps(which):
+    """(label, map in place of the involution of `which`) for the broken
+    maps above, plus the true image with its negative half reversed: a
+    family walk whose own image is mostly some other walk."""
+    real = INVOLUTIONS[which]
+    return {
+        "identity": identity_map,
+        "constant": constant_map,
+        "raises_on_images": raising_on_images(real),
+        **NO_FAMILY_WALK,
+        "reversed_image": lambda w, r: reverse_negative_half(real(w, r)),
+    }
+
+
+@pytest.mark.parametrize("label", list(broken_maps("second")))
+@pytest.mark.parametrize("which", ["first", "second"])
+def test_involution_audit_equals_the_reference_on_broken_maps(which, label):
+    rho = broken_maps(which)[label]
+    for n, r, d in [(2, 1, 2), (3, 1, 2), (3, 1, 3), (2, 2, 2), (4, 1, 3)]:
+        expected = reference_involution_audit(n, r, d, which, rho)
+        report = audit_involution_with(rho, n, r, d, which)
+        assert not report.passed
+        assert report.content() == expected.content(), (n, r, d)
