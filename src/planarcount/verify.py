@@ -545,10 +545,11 @@ def audit_bijections(
     over the tableaux G of each shape, and the region walks are
     H x reversed(H) over the region halves H of each endpoint
     (`region_halves`).  They are compared one factor at a time, so neither
-    product is built, and their sizes are sums of squares.  Beyond the lift
-    table the audit holds the tableaux grouped by shape, their column words,
-    the region halves, a set of the bounded lifts' pairs and one dict from
-    each bounded lift's image key to its mark.
+    product is built, and their sizes are sums of squares.  A tableau,
+    region half or profile walk enumerated twice is noted by name.  Beyond
+    the lift table the audit holds the tableaux grouped by shape, their
+    column words, the region halves, a set of the bounded lifts' pairs and
+    one dict from each bounded lift's image key to its mark.
     """
     started = time.perf_counter()
     check_count_params(n, r, d)
@@ -591,7 +592,10 @@ def audit_bijections(
 
     by_shape: dict[tuple[int, ...], set] = {}
     for t in iter_block_tableaux(n, r, d, "matching"):
-        by_shape.setdefault(t.shape, set()).add(t)
+        group = by_shape.setdefault(t.shape, set())
+        if t in group:
+            note(f"tableau {t.to_text()} enumerated twice")
+        group.add(t)
     pair_count = sum(len(group) ** 2 for group in by_shape.values())
     # the pairs via graphs are the pairs of G x G iff each lies in G x G for
     # its shape and there are as many
@@ -608,7 +612,13 @@ def audit_bijections(
     # the pair walks of a group are closed iff its column words share one
     # endpoint, and they are the region walks iff each group's words are
     # the region halves at that endpoint
-    halves = {end: set(group) for end, group in region_halves(n, r, d).items()}
+    halves = {}
+    for end, group in region_halves(n, r, d).items():
+        distinct = halves[end] = set()
+        for half in group:
+            if half in distinct:
+                note(f"region half {half} enumerated twice")
+            distinct.add(half)
     region_count = sum(len(group) ** 2 for group in halves.values())
     words_at = {}
     word_pairs = 0
@@ -663,12 +673,11 @@ def audit_bijections(
     for w in iter_profile_walks(n, r, d):
         key = (w.pos, w.neg)
         mark = marks.get(key)
-        if mark is None:
-            if key in extras:
-                continue
-            extras.add(key)
-        elif mark == _SEEN:
+        if mark == _SEEN or mark is None and key in extras:
+            note(f"profile walk {w.to_text()} enumerated twice")
             continue
+        if mark is None:
+            extras.add(key)
         else:
             marks[key] = _SEEN
             if mark == _VERIFIED:

@@ -27,8 +27,10 @@ directions.
 
 Two counters compute the c(y), independently.  "enumerate" tallies the
 half-walks by direction histogram, the n-fold convolution of the block
-count-vectors, and folds the tally into shapes once, at the end.  "dp" adds
-one block at a time to signed shape counts, sorting after every block.
+count-vectors, and folds the tally into shapes once, at the end, with
+signs.  "dp" adds one Pieri strip per block to shape counts: the terms in
+which a block would reorder a shape or make a tie cancel, so it keeps only
+the moves that leave the shape sorted, and no count is signed.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from itertools import (
     permutations,
 )
 from math import comb
-from operator import add, mul, sub
+from operator import add, lt, mul, sub
 from typing import Iterator, NamedTuple
 
 from .graphs import (
@@ -382,47 +384,34 @@ def _fold_into_shapes(profiles: dict, d: int) -> dict:
 
 
 def _shape_counts_dp(n: int, r: int, d: int, kind: str) -> dict:
-    """Shape -> signed half-walk count, by adding one block at a time to
-    sorted states: start from delta, add a block's count-vector c, sort with
-    sign, and drop states with a repeated entry (their terms cancel).
+    """Shape -> number of half-walks, by adding one strip at a time to
+    sorted states, starting from delta.
+
+    Adding every block's count-vector c to y and sorting with sign gives the
+    same counts: by Pieri's rule (Stanley, EC2 section 7.15) the terms with
+    a tie vanish and those that reorder y cancel against order-keeping
+    terms that add no strip to the partition y - delta (read backwards).
+    So a "matching" block (h_r) moves y only when it adds a horizontal
+    strip, c[j] < y[j+1] - y[j] for j < d - 1, and a "subgraph" block (e_r)
+    only when it adds a vertical strip, c[j] - c[j+1] < y[j+1] - y[j].  No
+    count is signed or zero.
 
     A state y is packed into one int, coordinate j as the digit of base**j
-    with base = rn + d + 1.  No entry of y or of y + c reaches rn + d, so no
-    digit carries.  The order and the ties of y + c depend only on the gaps
-    y[j+1] - y[j] capped at cap = 1 + the largest entry of any c, because no
-    difference c[i] - c[j] reaches cap.  So the sort is paid once per gap
-    class and block, when a state of that class is first met, and not once
-    per transition.  A class's moves leave out the blocks that make a tie.
-    A block that keeps the order adds its code to the key; one that reorders
-    moves digit j of y to the place value weights[j] and adds a constant,
-    with the sign of the sort.  The table lives for one call.
+    with base = rn + d + 1; no entry reaches rn + d, so no digit carries and
+    a move adds c's code to the key.  Whether c is a strip depends only on
+    y's gaps capped at cap = 1 + the largest entry of any c, so the test is
+    paid once per gap class and block, in a table that lives for one call.
     """
     increments = [counts for _, counts in _block_choices(d, r, kind)]
     base = n * r + d + 1
     powers = [base**j for j in range(d)]
     cap = 1 + max(map(max, increments), default=0)
     capped = [min(gap, cap) for gap in range(base)]
-    table: dict[tuple[int, ...], tuple] = {}
+    table: dict[tuple[int, ...], list[int]] = {}
 
-    def class_moves(gaps: tuple[int, ...]) -> tuple:
-        """(codes of order-keeping blocks, (weights, constant, sign) of
-        reordering blocks) for the states with these capped gaps."""
-        rep = list(accumulate(gaps, initial=0))
-        same, moved = [], []
-        for inc in increments:
-            values = list(map(add, rep, inc))
-            sorted_sign = _sort_with_sign(values)
-            if sorted_sign is None:
-                continue
-            shape, sign = sorted_sign
-            rank = {v: k for k, v in enumerate(shape)}
-            weights = [powers[rank[v]] for v in values]
-            const = sum(map(mul, inc, weights))
-            if weights == powers:
-                same.append(const)
-            else:
-                moved.append((weights, const, sign))
-        return same, moved
+    def is_strip(c, gaps) -> bool:
+        steps = c if kind == "matching" else map(sub, c, c[1:])
+        return all(map(lt, steps, gaps))
 
     shapes = {sum(map(mul, range(d), powers)): 1}
     for _ in range(n):
@@ -431,17 +420,15 @@ def _shape_counts_dp(n: int, r: int, d: int, kind: str) -> dict:
         for key, ways in shapes.items():
             y = [key // p % base for p in powers]
             gaps = tuple(map(capped.__getitem__, map(sub, y[1:], y)))
-            moves = table.get(gaps)
-            if moves is None:
-                moves = table[gaps] = class_moves(gaps)
-            same, moved = moves
-            for code in same:
+            codes = table.get(gaps)
+            if codes is None:
+                codes = table[gaps] = [
+                    sum(map(mul, c, powers)) for c in increments if is_strip(c, gaps)
+                ]
+            for code in codes:
                 k = key + code
                 nxt[k] = get(k, 0) + ways
-            for weights, const, sign in moved:
-                k = sum(map(mul, y, weights)) + const
-                nxt[k] = get(k, 0) + (ways if sign > 0 else -ways)
-        shapes = {key: ways for key, ways in nxt.items() if ways}
+        shapes = nxt
     return {
         tuple(key // p % base for p in powers): ways for key, ways in shapes.items()
     }
@@ -451,11 +438,12 @@ def signed_walk_cost(n: int, r: int, d: int, kind: str) -> int:
     """Upper bound on the work of `signed_walk_sum`, with either counter:
     n steps that each add every block to every state, where a step starts
     from at most min(blocks**k, C(rn+d, d)) states after k earlier steps.
-    The states are histograms for "enumerate" and shapes for "dp".  The
-    dp's move table does not change the bound: it sorts once per gap class
-    and block, and a class is built only when a shape of it is first met,
-    so the table adds at most one pass of classes x blocks, which is no
-    more than the shape x block transitions counted here."""
+    The states are histograms for "enumerate" and shapes for "dp".  A strip
+    is a block, so the dp's moves are among those counted.  Its move table
+    does not change the bound: it tests each block once per gap class, and
+    a class is built only when a shape of it is first met, so the table adds
+    at most one pass of classes x blocks, which is no more than the
+    shape x block transitions counted here."""
     check_kind(kind)
     blocks = comb(d + r - 1, r) if kind == "matching" else comb(d, r)
     return n * blocks * min(blocks ** (n - 1), comb(n * r + d, d)) if n else 0
@@ -475,8 +463,8 @@ def signed_walk_sum(
     which holds because both kinds of block are symmetric in the d
     directions.  Counter "enumerate" tallies the half-walks by direction
     histogram, convolving the block count-vectors, and folds the tally into
-    shapes once, at the end; counter "dp" adds one block at a time to signed
-    shape counts and never forms a histogram.
+    shapes once, at the end; counter "dp" adds one strip at a time to shape
+    counts (Pieri's rule) and never forms a histogram or a sign.
     """
     check_count_params(n, r, d)
     if counter == "enumerate":
@@ -512,10 +500,10 @@ def count_all_walks_signed(m: int, d: int) -> int:
     to -p, and -T(pi) + delta is pi - 1 in one-line notation: the count is
     the signed number of walks from delta to a permutation of delta.  The
     step set is also closed under permuting directions, so the dynamic
-    program runs on sorted shapes, as `_shape_counts_dp` does, starting
-    from delta.  A unit step cannot carry an entry past its neighbour: it
-    either keeps the shape sorted (sign +1) or makes a tie, whose terms
-    cancel.  So the count is the number of closed walks from delta that
+    program runs on sorted shapes, starting from delta, and, like
+    `_shape_counts_dp`, keeps only the moves that leave the shape sorted.
+    A unit step cannot carry an entry past its neighbour: it either keeps
+    the shape sorted (sign +1) or makes a tie, whose terms cancel.  So the count is the number of closed walks from delta that
     keep the entries strictly increasing.  Such a walk splits at step m
     into two walks of length m from delta to one shape y, the second one
     reversed, which the symmetric step set allows; with a(y) the number of

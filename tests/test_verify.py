@@ -398,10 +398,64 @@ def test_bijection_audit_notes_a_dropped_profile_walk():
     assert report.methods["failures"] == 1
 
 
-def test_bijection_audit_counts_a_repeated_profile_walk_once():
+def test_bijection_audit_notes_a_repeated_profile_walk():
     report = audit_with_profile_walks(4, 1, 3, lambda walks: walks.insert(9, walks[3]))
-    assert report.passed
+    assert not report.passed
+    assert report.witness == "profile walk 1112|1112 enumerated twice"
+    assert report.methods["failures"] == 1
     assert report.methods["profile_walks"] == report.methods["configurations"] == 23
+    # every witness twice: each repeat is noted, and counted once
+    report = audit_with_profile_walks(
+        3, 1, 3, lambda walks: walks.extend(list(walks))
+    )
+    assert not report.passed
+    assert report.witness == "profile walk 111|111 enumerated twice"
+    assert report.methods["failures"] == 6
+    assert report.methods["profile_walks"] == 6
+
+
+def test_bijection_audit_notes_a_repeated_walk_that_is_no_image():
+    # a repeat of an enumerated walk outside the images is noted too
+    stray = Walk.from_text("12|21")
+    report = audit_with_profile_walks(
+        2, 1, 2, lambda walks: walks.extend([stray, stray])
+    )
+    assert not report.passed
+    assert report.witness == "enumerated walk 12|21 fails the profile test"
+    assert report.methods["profile_walks"] == 3
+    # as for one stray, and the repeat
+    assert report.methods["failures"] == 4
+
+
+def test_bijection_audit_notes_a_repeated_tableau():
+    real = verify.iter_block_tableaux
+
+    def twice(n, r, d, kind):
+        for t in real(n, r, d, kind):
+            yield t
+            yield t
+
+    verify.iter_block_tableaux = twice
+    try:
+        report = audit_bijections(3, 1, 3)
+    finally:
+        verify.iter_block_tableaux = real
+    assert not report.passed
+    assert report.witness == "tableau [[1,2,3]] enumerated twice"
+    assert report.methods["failures"] == 4
+    assert report.methods["tableau_pairs"] == 6
+
+
+def test_bijection_audit_notes_a_repeated_region_half():
+    def double(halves):
+        for group in halves.values():
+            group.extend(list(group))
+
+    report = audit_with_region_halves(3, 1, 3, double)
+    assert not report.passed
+    assert report.witness == "region half (1, 1, 1) enumerated twice"
+    assert report.methods["failures"] == 4
+    assert report.methods["region_walks"] == 6
 
 
 def test_bijection_audit_pairs_each_profile_walk_once():

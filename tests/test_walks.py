@@ -2,7 +2,8 @@ import gc
 from collections import Counter
 from functools import lru_cache
 from itertools import compress, permutations, product
-from math import comb
+from math import comb, factorial
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,7 @@ from planarcount.graphs import (
     planar_matching_profile,
 )
 from planarcount.perms import perm_sign
+from planarcount.tableaux import iter_partitions
 from planarcount.walks import (
     QuasiConfiguration,
     Walk,
@@ -368,6 +370,44 @@ def test_half_profiles_enumerate_matches_product_reference(n, r, d, kind):
 def test_shape_dp_matches_folded_enumeration(n, r, d, kind):
     folded = _fold_into_shapes(_half_profiles_enumerate(n, r, d, kind), d)
     assert _shape_counts_dp(n, r, d, kind) == {y: c for y, c in folded.items() if c}
+    assert all(c > 0 for c in _shape_counts_dp(n, r, d, kind).values())
+
+
+def hook_length_count(shape):
+    """Number of standard tableaux of a partition, by the hook length formula."""
+    cols = [sum(1 for length in shape if length > j) for j in range(max(shape, default=0))]
+    hooks = 1
+    for i, length in enumerate(shape):
+        for j in range(length):
+            hooks *= (length - j) + (cols[j] - i) - 1
+    return factorial(sum(shape)) // hooks
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_one_regular_shape_dp_is_the_hook_length_formula(n):
+    # at r = 1 every strip is one box, so the count at y = mu + delta (mu
+    # read backwards) is f^mu, the number of standard tableaux of shape mu
+    for d in range(n + 2):
+        expected = {
+            tuple(map(add, reversed(mu + (0,) * (d - len(mu))), range(d))):
+                hook_length_count(mu)
+            for mu in iter_partitions(n, n)
+            if len(mu) <= d
+        }
+        for kind in ("matching", "subgraph"):
+            assert _shape_counts_dp(n, 1, d, kind) == expected, (d, kind)
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for r in range(1, 9) for n in range(8 // r + 1)])
+def test_shape_dp_counts_the_region_halves_at_each_endpoint(n, r):
+    # two independent constructions of one table: the DP's count at
+    # y = reversed(e) + delta is the number of region halves ending at e
+    for d in range(n * r + 2):
+        expected = {
+            tuple(map(add, reversed(end), range(d))): len(group)
+            for end, group in region_halves(n, r, d).items()
+        }
+        assert _shape_counts_dp(n, r, d, "matching") == expected, d
 
 
 @pytest.mark.parametrize("d", range(6))
