@@ -143,7 +143,7 @@ def _short(value):
 
 def cmd_demo(args) -> int:
     if args.what == "rsk":
-        if not args.perm:
+        if args.perm is None:
             raise ValueError("demo rsk needs --perm")
         perm = parse_permutation(args.perm)
         p, q = rsk(perm)
@@ -158,10 +158,10 @@ def cmd_demo(args) -> int:
         _emit(args, payload, f"P = {p.to_text()}\nQ = {q.to_text()}\nround_trip = {ok}")
         return 0
     if args.what == "phi":
-        if args.graph:
+        if args.graph is not None:
             g = Multigraph.from_text(args.graph)
             lift = canonical_lift(g)
-        elif args.perm:
+        elif args.perm is not None:
             lift = parse_permutation(args.perm)
         else:
             raise ValueError("demo phi needs --graph or --perm")
@@ -180,7 +180,7 @@ def cmd_demo(args) -> int:
         )
         _emit(args, payload, human)
         return 0
-    if not args.walk:
+    if args.walk is None:
         raise ValueError("demo walk needs --walk")
     walk = Walk.from_text(args.walk)
     pairing = crossing_pairing(walk)

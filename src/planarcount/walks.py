@@ -326,7 +326,10 @@ class BudgetExceeded(RuntimeError):
 
 
 def require_budget(estimate: int, budget: int | None, what: str) -> None:
-    """Refuse before any work when the estimate exceeds the budget."""
+    """Refuse before any work when the estimate exceeds the budget.  A
+    negative budget is no budget: it raises ValueError, not a refusal."""
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be >= 0")
     if budget is not None and estimate > budget:
         raise BudgetExceeded(
             f"{what}: estimated {estimate} nodes exceeds budget {budget}"
@@ -740,86 +743,53 @@ def offregion_involution(w: Walk, r: int) -> Walk:
 
 def iter_profile_walks(n: int, r: int, d: int):
     """Every restricted walk of length 2rn ending at a Toeplitz point that is
-    a prefix matching profile, by pruned backtracking.
+    a prefix matching profile, each half grown as a list one step at a time.
 
     Sound prunes only: a positive value c > 1 needs an earlier c-1 (else the
-    lower count is zero); every positive value needs as many negative copies
-    as its positive count (the k-th-to-last occurrences must exist), which
-    with a Toeplitz endpoint forces the negative half to be a rearrangement
-    of the positive half; and the before/after order of the profile test is
-    checked as each negative step is placed, back to front.
+    lower count is zero), so each positive value is at most one more than
+    the largest before it; every positive value needs as many negative
+    copies as its positive count (the k-th-to-last occurrences must exist),
+    which with a Toeplitz endpoint forces the negative half to be a
+    rearrangement of the positive half; and the before/after order of the
+    profile test is checked as each negative step is placed, back to front.
+    Positive halves come in lexicographic order, and for each the negative
+    halves in lexicographic order of their reversal.
     """
     check_count_params(n, r, d)
-    for a in _profile_positive_halves(n * r, r, d, [], None, 0):
-        for b in _profile_negative_halves(a, r, d):
+    m = n * r
+    # (half, its largest value); blocks weakly decrease
+    positives = [((), 0)]
+    for i in range(m):
+        positives = [
+            (a + (v,), max(top, v))
+            for a, top in positives
+            for v in range(1, min(d, top + 1, a[-1] if i % r else d) + 1)
+        ]
+    for a, _ in positives:
+        same, lower = occurrence_profile(Walk(d, a, ()))
+        # a positive position with value c > 1, same-count k and lower-count
+        # l needs the l-th-to-last c-1 of the negative half before its
+        # k-th-to-last c.  Filled back to front, that c-1 is placed too late
+        # iff fewer than k c's are placed, so need keeps the largest k.
+        need: dict[tuple[int, int], int] = {}
+        for c, k, l in zip(a, same, lower):
+            if c > 1 and k > need.get((c - 1, l), 0):
+                need[(c - 1, l)] = k
+        counts = Counter(a)
+        values = sorted(counts)
+        # the negative tails, positions p..m; blocks weakly decrease
+        tails = [()]
+        for p in range(m, 0, -1):
+            tails = [
+                (v,) + tail
+                for tail in tails
+                for v in values
+                if (p % r == 0 or v >= tail[0])
+                and tail.count(v) < counts[v]
+                and tail.count(v + 1) >= need.get((v, tail.count(v) + 1), 0)
+            ]
+        for b in tails:
             yield Walk(d=d, pos=a, neg=b)
-
-
-def _profile_positive_halves(
-    m: int, r: int, d: int, acc: list[int], prev_in_block: int | None, max_seen: int
-) -> Iterator[tuple[int, ...]]:
-    """The positive halves of length m that extend `acc`: blocks weakly
-    decreasing, and every value at most one more than the largest before."""
-    if len(acc) == m:
-        yield tuple(acc)
-        return
-    cap = min(d, max_seen + 1)
-    if prev_in_block is not None:
-        cap = min(cap, prev_in_block)
-    for v in range(1, cap + 1):
-        acc.append(v)
-        nxt_prev = v if len(acc) % r else None
-        yield from _profile_positive_halves(m, r, d, acc, nxt_prev, max(max_seen, v))
-        acc.pop()
-
-
-def _profile_negative_halves(a: tuple[int, ...], r: int, d: int):
-    """The negative halves that complete the positive half `a` to a profile
-    walk, filled back to front."""
-    same, lower = occurrence_profile(Walk(d, a, ()))
-    # a positive position with value c > 1, same-count k and lower-count
-    # l needs the l-th-to-last c-1 of the negative half before its
-    # k-th-to-last c.  Filled back to front, that c-1 is placed too late
-    # iff fewer than k c's are placed, so need keeps the largest k.
-    need: dict[tuple[int, int], int] = {}
-    for c, k, l in zip(a, same, lower):
-        if c > 1 and k > need.get((c - 1, l), 0):
-            need[(c - 1, l)] = k
-    remaining = Counter(a)
-    values = sorted(remaining)
-    buf, suffix = [0] * len(a), [0] * (d + 2)
-    return _place_negative(len(a), r, buf, remaining, suffix, need, values)
-
-
-def _place_negative(
-    p: int,
-    r: int,
-    buf: list[int],
-    remaining: Counter,
-    suffix: list[int],
-    need: dict[tuple[int, int], int],
-    values: list[int],
-) -> Iterator[tuple[int, ...]]:
-    """Fill negative positions p, p-1, ..., 1 of `buf` from `remaining`;
-    suffix[v] counts the v's placed so far."""
-    if p == 0:
-        yield tuple(buf)
-        return
-    for v in values:
-        if remaining[v] == 0:
-            continue
-        # blocks of the negative half must weakly decrease
-        if p % r != 0 and v < buf[p]:
-            continue
-        seen = suffix[v] + 1
-        if suffix[v + 1] < need.get((v, seen), 0):
-            continue
-        buf[p - 1] = v
-        remaining[v] -= 1
-        suffix[v] = seen
-        yield from _place_negative(p - 1, r, buf, remaining, suffix, need, values)
-        remaining[v] += 1
-        suffix[v] = seen - 1
 
 
 def region_halves(

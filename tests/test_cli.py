@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import planarcount
 from planarcount.cli import main
 from planarcount.verify import METHODS
@@ -117,6 +119,25 @@ def test_budget_refusal_exit_3(capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "3", "--r", "1", "--d", "2"),
+        ("verify", "theorem1", "--n", "2", "--r", "2", "--d", "1"),
+        ("audit", "bijections", "--n", "1", "--r", "1", "--d", "1"),
+        ("table", "--r", "1", "--n-max", "2"),
+    ],
+)
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: budget must be >= 0"
+    # budget 0 is a budget, and refuses any work
+    code, _, err = run(capsys, *argv, "--budget", "0")
+    assert code == 3 and err.startswith("refused: ")
+
+
 def test_verify_pass_and_fail_codes(capsys):
     code, out, _ = run(
         capsys, "verify", "theorem1", "--n", "2", "--r", "2", "--d", "1"
@@ -195,6 +216,17 @@ def test_demo_parse_failure(capsys):
     code, _, err = run(capsys, "demo", "phi", "--graph", "1,x;0,1")
     assert code == 2
     assert err.strip() == "error: malformed multigraph '1,x;0,1'"
+    # empty text is given, so it reaches the parser instead of reading as
+    # a missing option
+    for argv, message in (
+        (("phi", "--graph", ""), "malformed multigraph ''"),
+        (("phi", "--perm", ""), "malformed permutation ''"),
+        (("rsk", "--perm", ""), "malformed permutation ''"),
+        (("walk", "--walk", ""), "walk text needs exactly one '|'"),
+    ):
+        code, _, err = run(capsys, "demo", *argv)
+        assert code == 2
+        assert err.strip() == f"error: {message}"
 
 
 def test_verify_plk_cli_and_threads(capsys):

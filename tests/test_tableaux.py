@@ -26,6 +26,7 @@ from planarcount.tableaux import (
 from planarcount.walks import (
     Walk,
     endpoint,
+    signed_walk_sum,
     stays_in_dominance_region,
     weakly_decreasing_blocks,
 )
@@ -347,8 +348,9 @@ def test_enumerate_tableaux_counts():
 
 @pytest.mark.parametrize("enumerator", [enumerate_tableaux, iter_partitions])
 def test_tableau_enumerators_leave_no_reference_cycles(enumerator):
-    # the backtracking state lives in generator frames and arguments, so a
-    # consumed enumerator is freed by reference counting alone
+    # the fill grows plain lists of tuples and the partitions live in
+    # generator frames and arguments, so a consumed enumerator is freed by
+    # reference counting alone
     gc.collect()
     gc.disable()
     try:
@@ -395,17 +397,35 @@ def test_count_tableau_pairs_subgraph_small():
 
 
 @pytest.mark.parametrize("kind", ["matching", "subgraph"])
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_block_tableaux_are_the_filtered_enumeration(r, kind):
+    # the fill prunes by the block rule; the filter reads whole tableaux
     check = blocks_strictly_below if kind == "matching" else blocks_weakly_above
-    for n in range(7 // r + 1):
-        for d in range(n * r + 1):
+    for n in range(9 // r + 1):
+        for d in range(n * r + 2):
             expected = [
                 t
                 for t in enumerate_tableaux(n * r, d)
                 if n * r == 0 or check(t, n, r)
             ]
             assert list(iter_block_tableaux(n, r, d, kind)) == expected
+
+
+@pytest.mark.parametrize(
+    "n,r,d,kind,count",
+    [
+        (6, 2, 12, "matching", 202410),
+        (4, 3, 12, "matching", 2008),
+        (6, 2, 6, "subgraph", 147168),
+        (9, 1, 7, "matching", 362815),
+        (5, 3, 6, "matching", 153040),
+    ],
+)
+def test_tableau_pairs_past_the_filter(n, r, d, kind, count):
+    # sizes where filtering all (rn)! standard tableaux took seconds to
+    # minutes; the pruned fill keeps only the block tableaux
+    assert count_tableau_pairs(n, r, d, kind) == count
+    assert signed_walk_sum(n, r, d, kind, "dp") == count
 
 
 def test_count_tableau_pairs_rejects_bad_domain():

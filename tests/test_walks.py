@@ -1133,8 +1133,8 @@ def test_profile_walk_enumerator_order(n, r, d):
 
 
 def test_profile_walk_enumerator_leaves_no_reference_cycles():
-    # the backtracking state lives in generator frames and arguments, so a
-    # consumed enumerator is freed by reference counting alone
+    # both halves grow as plain lists of tuples, with no shared buffer or
+    # closure, so a consumed enumerator is freed by reference counting alone
     gc.collect()
     gc.disable()
     try:
