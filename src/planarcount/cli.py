@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .graphs import (
     Multigraph,
@@ -448,10 +449,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` reads, built on its first call; parsing leaves a
+    parser unchanged, so one serves every call in the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

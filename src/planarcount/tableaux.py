@@ -45,7 +45,7 @@ class YoungTableau:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
+        return tuple(map(len, self.rows))
 
     @property
     def size(self) -> int:
@@ -120,10 +120,16 @@ def rsk_inverse(p: YoungTableau, q: YoungTableau) -> tuple[int, ...]:
     m = p.size
     if p.entries() != list(range(1, m + 1)) or q.entries() != list(range(1, m + 1)):
         raise ValueError(f"entries of both tableaux must be exactly [{m}]")
+    # 1-based (row, column) of each entry of q, the steps read back to front
+    position = {
+        value: (i, j)
+        for i, row in enumerate(q.rows, start=1)
+        for j, value in enumerate(row, start=1)
+    }
     rows = [list(row) for row in p.rows]
     out = [0] * m
     for step in range(m, 0, -1):
-        i, j = q.position_of(step)
+        i, j = position[step]
         x = rows[i - 1].pop(j - 1)
         if not rows[i - 1]:
             rows.pop()

@@ -600,7 +600,7 @@ def audit_bijections(
     # the pairs via graphs are the pairs of G x G iff each lies in G x G for
     # its shape and there are as many
     if len(pairs_from_graphs) != pair_count or not all(
-        p in by_shape.get(p.shape, ()) and q in by_shape[p.shape]
+        p in (shape_group := by_shape.get(p.shape, ())) and q in shape_group
         for p, q in pairs_from_graphs
     ):
         note(

@@ -404,13 +404,23 @@ def _shape_counts_dp(n: int, r: int, d: int, kind: str) -> dict:
     a move adds c's code to the key.  Whether c is a strip depends only on
     y's gaps capped at cap = 1 + the largest entry of any c, so the test is
     paid once per gap class and block, in a table that lives for one call.
+
+    A state finds its strip codes by its packed gaps, key // base minus
+    key % base**(d-1): digit j is y[j+1] - y[j] >= 1, so the subtraction
+    never borrows.  Only a miss in that lookup decodes the gap digits, caps
+    them and reads (or builds) the class's entry; both dicts share the one
+    code list per class.  A miss decodes only the state that missed, so no
+    state is decoded more than once per step.
     """
     increments = [counts for _, counts in _block_choices(d, r, kind)]
     base = n * r + d + 1
     powers = [base**j for j in range(d)]
+    # d = 0 has no gaps: every key is 0 and so is its gap key
+    low = powers[-1] if powers else 1
     cap = 1 + max(map(max, increments), default=0)
     capped = [min(gap, cap) for gap in range(base)]
     table: dict[tuple[int, ...], list[int]] = {}
+    by_gaps: dict[int, list[int]] = {}
 
     def is_strip(c, gaps) -> bool:
         steps = c if kind == "matching" else map(sub, c, c[1:])
@@ -421,13 +431,16 @@ def _shape_counts_dp(n: int, r: int, d: int, kind: str) -> dict:
         nxt: dict[int, int] = {}
         get = nxt.get
         for key, ways in shapes.items():
-            y = [key // p % base for p in powers]
-            gaps = tuple(map(capped.__getitem__, map(sub, y[1:], y)))
-            codes = table.get(gaps)
+            packed = key // base - key % low
+            codes = by_gaps.get(packed)
             if codes is None:
-                codes = table[gaps] = [
-                    sum(map(mul, c, powers)) for c in increments if is_strip(c, gaps)
-                ]
+                gaps = tuple(capped[packed // p % base] for p in powers[:-1])
+                codes = table.get(gaps)
+                if codes is None:
+                    codes = table[gaps] = [
+                        sum(map(mul, c, powers)) for c in increments if is_strip(c, gaps)
+                    ]
+                by_gaps[packed] = codes
             for code in codes:
                 k = key + code
                 nxt[k] = get(k, 0) + ways
@@ -446,7 +459,9 @@ def signed_walk_cost(n: int, r: int, d: int, kind: str) -> int:
     does not change the bound: it tests each block once per gap class, and
     a class is built only when a shape of it is first met, so the table adds
     at most one pass of classes x blocks, which is no more than the
-    shape x block transitions counted here."""
+    shape x block transitions counted here.  Its lookup by packed gaps does
+    not change it either: each state costs one lookup, and a miss decodes
+    that one state, so the decoding is at most one pass over the states."""
     check_kind(kind)
     blocks = comb(d + r - 1, r) if kind == "matching" else comb(d, r)
     return n * blocks * min(blocks ** (n - 1), comb(n * r + d, d)) if n else 0
@@ -777,18 +792,19 @@ def iter_profile_walks(n: int, r: int, d: int):
                 need[(c - 1, l)] = k
         counts = Counter(a)
         values = sorted(counts)
-        # the negative tails, positions p..m; blocks weakly decrease
-        tails = [()]
+        # the negative tails, positions p..m, each with its value counts
+        # (index v counts v; index d + 1 stays 0); blocks weakly decrease
+        tails = [((), (0,) * (d + 2))]
         for p in range(m, 0, -1):
             tails = [
-                (v,) + tail
-                for tail in tails
+                ((v,) + tail, seen[:v] + (seen[v] + 1,) + seen[v + 1 :])
+                for tail, seen in tails
                 for v in values
                 if (p % r == 0 or v >= tail[0])
-                and tail.count(v) < counts[v]
-                and tail.count(v + 1) >= need.get((v, tail.count(v) + 1), 0)
+                and seen[v] < counts[v]
+                and seen[v + 1] >= need.get((v, seen[v] + 1), 0)
             ]
-        for b in tails:
+        for b, _ in tails:
             yield Walk(d=d, pos=a, neg=b)
 
 

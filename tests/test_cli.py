@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import planarcount
-from planarcount.cli import main
+from planarcount.cli import build_parser, main
 from planarcount.verify import METHODS
 
 WORKED_GRAPH_TEXT = "0,1,1;2,0,0;0,1,1"
@@ -439,3 +440,32 @@ def test_table_rejects_negative_sample(capsys):
     )
     assert (code, out) == (2, "")
     assert err.strip() == "error: sample must be >= 0"
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    dp = ("count", "--n", "2", "--r", "2", "--d", "2", "--method", "walks-dp")
+    # subgraph sizes are 4, 3, 2 and matching sizes 2, 2, 1 at (2, 2)
+    assert run(capsys, *dp, "--subgraph") == (0, "1\n", "")
+    # a flag of the last call does not stick to the shared parser
+    assert run(capsys, *dp) == (0, "3\n", "")
+    code, out, err = run(capsys, "count", "--n", "x", "--r", "1", "--d", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: planarcount count") and "--n: invalid int" in err
+    code, out, err = run(capsys, "count", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: planarcount count") and "--subgraph" in out
+    assert run(capsys, "count", "--n", "3", "--r", "1", "--d", "2") == (0, "5\n", "")
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, *dp, "--subgraph") == (0, "1\n", "")
+    assert built == []
+    # the public builder still hands out a parser of its own
+    assert build_parser() is not build_parser()
+    assert built
