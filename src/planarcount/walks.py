@@ -27,10 +27,12 @@ directions.
 
 Two counters compute the c(y), independently.  "enumerate" tallies the
 half-walks by direction histogram, the n-fold convolution of the block
-count-vectors, and folds the tally into shapes once, at the end, with
-signs.  "dp" adds one Pieri strip per block to shape counts: the terms in
-which a block would reorder a shape or make a tie cancel, so it keeps only
-the moves that leave the shape sorted, and no count is signed.
+count-vectors on histograms packed into integers (a block move is one
+integer addition), and decodes the tally and folds it into shapes once, at
+the end, with signs.  "dp" adds one Pieri strip per block to shape counts:
+the terms in which a block would reorder a shape or make a tie cancel, so
+it keeps only the moves that leave the shape sorted, and no count is
+signed.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from itertools import (
     permutations,
 )
 from math import comb
-from operator import add, lt, mul, sub
+from operator import lt, mul, sub
 from typing import Iterator, NamedTuple
 
 from .graphs import (
@@ -342,17 +344,27 @@ def _half_profiles_enumerate(n: int, r: int, d: int, kind: str) -> dict:
     extended by every block, one block at a time.  Each half-walk is counted
     once, in its histogram's tally, so the tally's total is blocks**n.  No
     histogram is sorted or signed here; `_fold_into_shapes` does that once,
-    at the end."""
-    vectors = [counts for _, counts in _block_choices(d, r, kind)]
-    profiles = {(0,) * d: 1}
+    at the end.
+
+    A histogram is packed into one int, direction j as the digit of base**j
+    with base = rn + 1; no entry exceeds rn, so no digit carries.  Each
+    block's count-vector is packed once, so a block move adds its code to
+    the key, and each final histogram is decoded once, at the end."""
+    base = n * r + 1
+    powers = [base**j for j in range(d)]
+    codes = [sum(map(mul, counts, powers)) for _, counts in _block_choices(d, r, kind)]
+    profiles = {0: 1}
     for _ in range(n):
-        nxt: dict[tuple[int, ...], int] = {}
-        for hist, ways in profiles.items():
-            for counts in vectors:
-                key = tuple(map(add, hist, counts))
-                nxt[key] = nxt.get(key, 0) + ways
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, ways in profiles.items():
+            for code in codes:
+                k = key + code
+                nxt[k] = get(k, 0) + ways
         profiles = nxt
-    return profiles
+    return {
+        tuple(key // p % base for p in powers): ways for key, ways in profiles.items()
+    }
 
 
 def _sort_with_sign(values) -> tuple[tuple[int, ...], int] | None:

@@ -482,6 +482,46 @@ def test_shape_dp_matches_reference_dp_at_pinned_sizes(n, r, d, kind):
     assert _shape_counts_dp(n, r, d, kind) == reference_shape_counts_dp(n, r, d, kind)
 
 
+def reference_half_profiles(n, r, d, kind):
+    """Reference: the convolution on tuple-keyed histograms, each block move
+    adding the count-vector entry by entry."""
+    vectors = [counts for _, counts in _block_choices(d, r, kind)]
+    profiles = {(0,) * d: 1}
+    for _ in range(n):
+        nxt = {}
+        for hist, ways in profiles.items():
+            for counts in vectors:
+                key = tuple(map(add, hist, counts))
+                nxt[key] = nxt.get(key, 0) + ways
+        profiles = nxt
+    return profiles
+
+
+@given(dp_sizes())
+@settings(max_examples=100, deadline=None)
+def test_half_profiles_enumerate_matches_tuple_reference(size):
+    assert _half_profiles_enumerate(*size) == reference_half_profiles(*size)
+
+
+@pytest.mark.parametrize("kind", ["matching", "subgraph"])
+def test_half_profiles_enumerate_closed_forms(kind):
+    # r = 1, d = 2: a histogram (k, n - k) is reached by C(n, k) half-walks,
+    # and at k = n its first digit is base - 1, the largest with no carry
+    for n in range(41):
+        expected = {(k, n - k): comb(n, k) for k in range(n + 1)}
+        assert _half_profiles_enumerate(n, 1, 2, kind) == expected, n
+    # d = 1: the one matching block is r copies of direction 1, and no
+    # subgraph block of r >= 2 distinct directions exists
+    for n in range(1, 9):
+        for r in range(1, 5):
+            expected = {(r * n,): 1} if kind == "matching" or r == 1 else {}
+            assert _half_profiles_enumerate(n, r, 1, kind) == expected, (n, r)
+    # n = 0: only the empty half-walk, at the origin
+    for r in range(1, 5):
+        for d in range(7):
+            assert _half_profiles_enumerate(0, r, d, kind) == {(0,) * d: 1}, (r, d)
+
+
 def test_signed_walk_cost():
     assert signed_walk_cost(8, 1, 8, "matching") == 8 * 8 * comb(16, 8)
     assert signed_walk_cost(12, 2, 3, "matching") == 12 * 6 * comb(27, 3)
