@@ -15,8 +15,10 @@ Input grammars (the only accepted forms):
 `demo rsk` prints its tableaux as row lists, [[1,3],[2],[4]]; no subcommand
 reads a tableau.
 
-JSON output has a fixed key order and renders every count as a decimal
-string so arbitrarily large values survive 53-bit consumers.
+Output formats (--format): every subcommand prints `table`, the default
+human-readable text, or `json`, one object per run; count, table and sample
+also print `csv`.  JSON output has a fixed key order and renders every count
+as a decimal string so arbitrarily large values survive 53-bit consumers.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from functools import cache
 
 from .graphs import (
@@ -63,17 +66,15 @@ def permutation_text(perm) -> str:
     return ",".join(str(v) for v in perm)
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(human)
+# What a handler returns: its exit code and its stdout lines in each format
+# it offers.
+Output = tuple[int, dict[str, list[str]]]
 
 
 # ------------------------------------------------------------------- count
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> Output:
     started = time.perf_counter()
     kind = "subgraph" if args.subgraph else "matching"
     value = count_graphs(args.n, args.r, args.d, kind, args.method, args.budget)
@@ -83,54 +84,45 @@ def cmd_count(args) -> int:
         "r": args.r,
         "d": args.d,
         "method": args.method,
-        "subgraph": bool(args.subgraph),
+        "subgraph": args.subgraph,
         "count": str(value),
         "elapsed_ms": round(elapsed, 3),
     }
-    if args.format == "csv":
-        print("n,r,d,method,subgraph,count")
-        print(
-            f"{args.n},{args.r},{args.d},{args.method},"
-            f"{str(bool(args.subgraph)).lower()},{value}"
-        )
-    else:
-        _emit(args, payload, str(value))
-    return 0
+    subgraph = str(args.subgraph).lower()
+    return 0, {
+        "table": [str(value)],
+        "json": [json.dumps(payload)],
+        "csv": [
+            "n,r,d,method,subgraph,count",
+            f"{args.n},{args.r},{args.d},{args.method},{subgraph},{value}",
+        ],
+    }
 
 
 # ------------------------------------------------------------------ verify
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     if args.identity == "theorem1":
-        report = verify_matching_identity(
-            args.n, args.r, args.d, budget=args.budget, threads=args.threads
-        )
+        report = verify_matching_identity(args.n, args.r, args.d, budget=args.budget)
     elif args.identity == "plk":
-        report = verify_subgraph_identity(
-            args.n, args.r, args.d, budget=args.budget, threads=args.threads
-        )
+        report = verify_subgraph_identity(args.n, args.r, args.d, budget=args.budget)
     elif args.identity == "mot":
-        report = verify_walk_scaling(
-            args.m, args.d, budget=args.budget, threads=args.threads
-        )
+        report = verify_walk_scaling(args.m, args.d, budget=args.budget)
     else:
         report = verify_gessel_identity(args.d, args.M, budget=args.budget)
-    return _print_report(args, report)
+    return _report_output(report)
 
 
-def _print_report(args, report) -> int:
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        verdict = "PASS" if report.passed else "FAIL"
-        methods = ", ".join(
-            f"{k}={_short(v)}" for k, v in report.methods.items()
-        )
-        print(f"{verdict} {report.identity} {report.params}: {methods}")
-        if report.witness:
-            print(f"witness: {report.witness}")
-    return 0 if report.passed else 1
+def _report_output(report) -> Output:
+    """The output of a verification or audit report: exit 0 when it passes
+    and 1 when it fails, with the witness of a failure."""
+    verdict = "PASS" if report.passed else "FAIL"
+    methods = ", ".join(f"{k}={_short(v)}" for k, v in report.methods.items())
+    human = [f"{verdict} {report.identity} {report.params}: {methods}"]
+    if report.witness:
+        human.append(f"witness: {report.witness}")
+    return (0 if report.passed else 1), {"table": human, "json": [report.to_json()]}
 
 
 def _short(value):
@@ -141,11 +133,21 @@ def _short(value):
 
 # -------------------------------------------------------------------- demo
 
+# the input options of each demo mode; a mode reads exactly one of them
+_DEMO_INPUTS = {"rsk": ("--perm",), "phi": ("--graph", "--perm"), "walk": ("--walk",)}
 
-def cmd_demo(args) -> int:
+
+def cmd_demo(args) -> Output:
+    wanted = _DEMO_INPUTS[args.what]
+    given = [f"--{x}" for x in ("graph", "perm", "walk") if vars(args)[x] is not None]
+    if not set(given) & set(wanted):
+        raise ValueError(f"demo {args.what} needs {' or '.join(wanted)}")
+    if len(given) > 1:
+        raise ValueError(
+            f"demo {args.what} reads {' or '.join(wanted)} alone, "
+            f"not {' and '.join(given)}"
+        )
     if args.what == "rsk":
-        if args.perm is None:
-            raise ValueError("demo rsk needs --perm")
         perm = parse_permutation(args.perm)
         p, q = rsk(perm)
         ok = rsk_inverse(p, q) == perm
@@ -156,16 +158,12 @@ def cmd_demo(args) -> int:
             "Q": q.to_text(),
             "round_trip": ok,
         }
-        _emit(args, payload, f"P = {p.to_text()}\nQ = {q.to_text()}\nround_trip = {ok}")
-        return 0
-    if args.what == "phi":
+        human = [f"{key} = {payload[key]}" for key in ("P", "Q", "round_trip")]
+    elif args.what == "phi":
         if args.graph is not None:
-            g = Multigraph.from_text(args.graph)
-            lift = canonical_lift(g)
-        elif args.perm is not None:
-            lift = parse_permutation(args.perm)
+            lift = canonical_lift(Multigraph.from_text(args.graph))
         else:
-            raise ValueError("demo phi needs --graph or --perm")
+            lift = parse_permutation(args.perm)
         walk = profile_walk(lift)
         ok = crossing_pairing(walk).as_permutation() == lift
         payload = {
@@ -175,157 +173,127 @@ def cmd_demo(args) -> int:
             "largest_matching": planar_matching_profile(lift).largest,
             "round_trip": ok,
         }
-        human = (
-            f"configuration = {permutation_text(lift)}\n"
-            f"walk = {walk.to_text()}\nround_trip = {ok}"
-        )
-        _emit(args, payload, human)
-        return 0
-    if args.walk is None:
-        raise ValueError("demo walk needs --walk")
-    walk = Walk.from_text(args.walk)
-    pairing = crossing_pairing(walk)
-    pair_text = " ".join(f"(u{a},v{b})" for a, b in pairing.pairs)
-    unmatched_left = pairing.unmatched_left()
-    unmatched_right = pairing.unmatched_right()
-    round_trip = pairing.is_complete and profile_walk(
-        pairing.as_permutation(), d=walk.d
-    ) == walk
-    payload = {
-        "what": "walk",
-        "walk": walk.to_text(),
-        "pairs": [[a, b] for a, b in pairing.pairs],
-        "unmatched_left": list(unmatched_left),
-        "unmatched_right": list(unmatched_right),
-        "complete": pairing.is_complete,
-        "round_trip": round_trip,
-    }
-    human_lines = [f"pairs = {pair_text}"]
-    if unmatched_left:
-        human_lines.append(
-            "unmatched left = " + " ".join(f"u{x}" for x in unmatched_left)
-        )
-    if unmatched_right:
-        human_lines.append(
-            "unmatched right = " + " ".join(f"v{x}" for x in unmatched_right)
-        )
-    human_lines.append(f"complete = {pairing.is_complete}")
-    human_lines.append(f"round_trip = {round_trip}")
-    _emit(args, payload, "\n".join(human_lines))
-    return 0
+        shown = ("configuration", "walk", "round_trip")
+        human = [f"{key} = {payload[key]}" for key in shown]
+    else:
+        walk = Walk.from_text(args.walk)
+        pairing = crossing_pairing(walk)
+        left, right = pairing.unmatched_left(), pairing.unmatched_right()
+        round_trip = pairing.is_complete and profile_walk(
+            pairing.as_permutation(), d=walk.d
+        ) == walk
+        payload = {
+            "what": "walk",
+            "walk": walk.to_text(),
+            "pairs": [[a, b] for a, b in pairing.pairs],
+            "unmatched_left": list(left),
+            "unmatched_right": list(right),
+            "complete": pairing.is_complete,
+            "round_trip": round_trip,
+        }
+        human = ["pairs = " + " ".join(f"(u{a},v{b})" for a, b in pairing.pairs)]
+        for side, label, nodes in (("left", "u", left), ("right", "v", right)):
+            if nodes:
+                shown = " ".join(f"{label}{x}" for x in nodes)
+                human.append(f"unmatched {side} = {shown}")
+        human += [f"complete = {pairing.is_complete}", f"round_trip = {round_trip}"]
+    return 0, {"table": human, "json": [json.dumps(payload)]}
 
 
 # ------------------------------------------------------------------- table
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> Output:
     check_count_params(args.n_max, args.r, 0)
     if args.sample < 0:
         raise ValueError("sample must be >= 0")
+    r = args.r
     brute = METHODS["brute"]
     ns = range(1, args.n_max + 1)
-    estimate = sum(brute.cost(n, args.r, 0, "matching") for n in ns)
+    estimate = sum(brute.cost(n, r, 0, "matching") for n in ns)
     require_budget(estimate + args.sample * args.n_max, args.budget, "table")
-    d_max = args.r * args.n_max
     rows = [
-        (n, args.r, d, brute.count(n, args.r, d, "matching"))
+        (n, d, brute.count(n, r, d, "matching"))
         for n in ns
-        for d in range(0, d_max + 1)
+        for d in range(r * args.n_max + 1)
     ]
-    empirical = {}
+    payload = {
+        "r": r,
+        "rows": [{"n": n, "r": r, "d": d, "count": str(c)} for n, d, c in rows],
+    }
+    human = [f"n={n} r={r} d={d} count={c}" for n, d, c in rows]
+    csv = ["n,r,d,count", *(f"{n},{r},{d},{c}" for n, d, c in rows)]
     if args.sample:
+        payload.update(samples=args.sample, seed=args.seed, empirical={})
+        csv += ["", "n,r,L,samples"]
         for n in ns:
-            dist: dict[int, int] = {}
-            for i in range(args.sample):
-                perm = sample_configuration(n, args.r, args.seed + i)
-                size = largest_planar_matching_size(perm)
-                dist[size] = dist.get(size, 0) + 1
-            empirical[n] = dict(sorted(dist.items()))
-
-    if args.format == "json":
-        payload = {
-            "r": args.r,
-            "rows": [
-                {"n": n, "r": r, "d": d, "count": str(c)} for n, r, d, c in rows
-            ],
-        }
-        if args.sample:
-            payload["samples"] = args.sample
-            payload["seed"] = args.seed
-            payload["empirical"] = {
-                str(n): {str(k): v for k, v in dist.items()}
-                for n, dist in empirical.items()
-            }
-        print(json.dumps(payload))
-        return 0
-    if args.format == "csv":
-        print("n,r,d,count")
-        for n, r, d, c in rows:
-            print(f"{n},{r},{d},{c}")
-        if args.sample:
-            print()
-            print("n,r,L,samples")
-            for n, dist in empirical.items():
-                for size, hits in dist.items():
-                    print(f"{n},{args.r},{size},{hits}")
-        return 0
-    for n, r, d, c in rows:
-        print(f"n={n} r={r} d={d} count={c}")
-    for n, dist in empirical.items():
-        shown = " ".join(f"L={k}:{v}" for k, v in dist.items())
-        print(f"empirical n={n} samples={args.sample} seed={args.seed} {shown}")
-    return 0
+            sizes = Counter(
+                largest_planar_matching_size(sample_configuration(n, r, seed))
+                for seed in range(args.seed, args.seed + args.sample)
+            )
+            dist = sorted(sizes.items())
+            payload["empirical"][str(n)] = {str(k): v for k, v in dist}
+            shown = " ".join(f"L={k}:{v}" for k, v in dist)
+            human.append(
+                f"empirical n={n} samples={args.sample} seed={args.seed} {shown}"
+            )
+            csv += [f"{n},{r},{k},{v}" for k, v in dist]
+    return 0, {"table": human, "json": [json.dumps(payload)], "csv": csv}
 
 
 # ------------------------------------------------------------------- audit
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> Output:
     if args.target == "involution":
         report = audit_involution(
             args.n, args.r, args.d, args.which, budget=args.budget
         )
     else:
         report = audit_bijections(args.n, args.r, args.d, budget=args.budget)
-    return _print_report(args, report)
+    return _report_output(report)
 
 
 # ------------------------------------------------------------------ sample
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> Output:
     check_count_params(args.n, args.r, 0)
     if args.count < 0:
         raise ValueError("count must be >= 0")
     samples = []
-    for i in range(args.count):
-        perm = sample_configuration(args.n, args.r, args.seed + i)
-        samples.append((perm, largest_planar_matching_size(perm)))
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "r": args.r,
-            "seed": args.seed,
-            "samples": [
-                {"configuration": permutation_text(p), "largest_matching": size}
-                for p, size in samples
-            ],
-        }
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        print("seed,configuration,largest_matching")
-        for i, (p, size) in enumerate(samples):
-            print(f"{args.seed + i},\"{permutation_text(p)}\",{size}")
-    else:
-        for p, size in samples:
-            print(f"{permutation_text(p)} L={size}")
-    return 0
+    for seed in range(args.seed, args.seed + args.count):
+        perm = sample_configuration(args.n, args.r, seed)
+        size = largest_planar_matching_size(perm)
+        samples.append((seed, permutation_text(perm), size))
+    payload = {
+        "n": args.n,
+        "r": args.r,
+        "seed": args.seed,
+        "samples": [
+            {"configuration": text, "largest_matching": size}
+            for _, text, size in samples
+        ],
+    }
+    return 0, {
+        "table": [f"{text} L={size}" for _, text, size in samples],
+        "json": [json.dumps(payload)],
+        "csv": [
+            "seed,configuration,largest_matching",
+            *(f'{seed},"{text}",{size}' for seed, text, size in samples),
+        ],
+    }
 
 
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(parser, *, formats=("table", "json"), budget=True, threads=False):
+def _add_nrd(parser):
+    for option in ("--n", "--r", "--d"):
+        parser.add_argument(option, type=int, required=True)
+
+
+def _add_common(parser, *, formats=("table", "json"), budget=True):
     parser.add_argument(
         "--format", choices=formats, default="table", help="output format"
     )
@@ -335,10 +303,6 @@ def _add_common(parser, *, formats=("table", "json"), budget=True, threads=False
             type=int,
             default=DEFAULT_BUDGET,
             help="node budget; computations refuse (exit 3) when it would be exceeded",
-        )
-    if threads:
-        parser.add_argument(
-            "--threads", type=int, default=1, help="must be >= 1; methods run serially"
         )
 
 
@@ -353,14 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser(
         "count", help="count graphs with bounded planar matching or subgraph"
     )
-    p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--r", type=int, required=True)
-    p_count.add_argument("--d", type=int, required=True)
-    p_count.add_argument(
-        "--method",
-        choices=list(METHODS),
-        default="brute",
-    )
+    _add_nrd(p_count)
+    p_count.add_argument("--method", choices=list(METHODS), default="brute")
     p_count.add_argument(
         "--subgraph",
         action="store_true",
@@ -370,35 +328,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(handler=cmd_count)
 
     p_verify = sub.add_parser("verify", help="cross-method identity verification")
+    p_verify.set_defaults(handler=cmd_verify)
     verify_sub = p_verify.add_subparsers(dest="identity", required=True)
-    for name in ("theorem1", "plk"):
-        vp = verify_sub.add_parser(
-            name,
-            help=(
-                "matching-count identity (graphs = tableau pairs = signed walks)"
-                if name == "theorem1"
-                else "subgraph-count identity"
-            ),
-        )
-        vp.add_argument("--n", type=int, required=True)
-        vp.add_argument("--r", type=int, required=True)
-        vp.add_argument("--d", type=int, required=True)
-        _add_common(vp, threads=True)
-        vp.set_defaults(handler=cmd_verify)
+    for name, help_text in (
+        ("theorem1", "matching-count identity (graphs = tableau pairs = signed walks)"),
+        ("plk", "subgraph-count identity"),
+    ):
+        vp = verify_sub.add_parser(name, help=help_text)
+        _add_nrd(vp)
+        _add_common(vp)
     vp = verify_sub.add_parser(
         "mot", help="all-walks signed count = C(2m,m) * bounded-LIS count"
     )
     vp.add_argument("--m", type=int, required=True)
     vp.add_argument("--d", type=int, required=True)
-    _add_common(vp, threads=True)
-    vp.set_defaults(handler=cmd_verify)
+    _add_common(vp)
     vp = verify_sub.add_parser(
         "gessel", help="Bessel determinant generating function, exact rationals"
     )
     vp.add_argument("--d", type=int, required=True)
     vp.add_argument("--M", type=int, required=True, help="even truncation degree")
     _add_common(vp)
-    vp.set_defaults(handler=cmd_verify)
 
     p_demo = sub.add_parser("demo", help="run one mapping on one object")
     p_demo.add_argument("what", choices=["rsk", "phi", "walk"])
@@ -421,20 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(handler=cmd_table)
 
     p_audit = sub.add_parser("audit", help="exhaustive involution/bijection audits")
+    p_audit.set_defaults(handler=cmd_audit)
     audit_sub = p_audit.add_subparsers(dest="target", required=True)
     ap = audit_sub.add_parser("involution", help="sign-reversing involution audit")
-    ap.add_argument("--n", type=int, required=True)
-    ap.add_argument("--r", type=int, required=True)
-    ap.add_argument("--d", type=int, required=True)
+    _add_nrd(ap)
     ap.add_argument("--which", choices=["first", "second"], required=True)
     _add_common(ap)
-    ap.set_defaults(handler=cmd_audit)
     ap = audit_sub.add_parser("bijections", help="two-sided bijection audit")
-    ap.add_argument("--n", type=int, required=True)
-    ap.add_argument("--r", type=int, required=True)
-    ap.add_argument("--d", type=int, required=True)
+    _add_nrd(ap)
     _add_common(ap)
-    ap.set_defaults(handler=cmd_audit)
 
     p_sample = sub.add_parser("sample", help="seeded uniform random configurations")
     p_sample.add_argument("--n", type=int, required=True)
@@ -457,18 +402,22 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  The one writer to stdout:
+    it prints the lines of the format asked for from the handler's Output."""
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code, outputs = args.handler(args)
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write("".join(f"{line}\n" for line in outputs[args.format]))
+    return code
 
 
 def console_entry() -> None:

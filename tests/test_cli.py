@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,31 +232,32 @@ def test_demo_parse_failure(capsys):
 
 
 def test_verify_plk_cli_and_threads(capsys):
-    code, out, _ = run(
-        capsys,
-        "verify", "plk", "--n", "2", "--r", "2", "--d", "3", "--threads", "2",
-    )
+    code, out, _ = run(capsys, "verify", "plk", "--n", "2", "--r", "2", "--d", "3")
     assert code == 0 and out.startswith("PASS")
 
 
-def test_failing_report_exits_1(capsys):
-    import argparse
-
-    from planarcount.cli import _print_report
+def test_failing_report_exits_1(capsys, monkeypatch):
+    from planarcount import cli
     from planarcount.verify import VerificationReport
 
     report = VerificationReport(
-        identity="demo",
+        identity="theorem1",
         params={"n": 1},
         methods={"a": 1, "b": 2},
         passed=False,
         witness="method disagreement: a=1, b=2",
         elapsed_ms=0.0,
     )
-    args = argparse.Namespace(format="table")
-    assert _print_report(args, report) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("FAIL") and "witness" in out
+    monkeypatch.setattr(cli, "verify_matching_identity", lambda *a, **k: report)
+    argv = ("verify", "theorem1", "--n", "1", "--r", "1", "--d", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL")
+    assert lines[1] == "witness: method disagreement: a=1, b=2"
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["pass"] is False
 
 
 def test_table_csv_contract(capsys):
@@ -359,17 +361,18 @@ def test_count_zero_regularity_every_method(capsys):
 
 
 def test_verify_rejects_threads_below_one(capsys):
+    # the methods run one after another, so no verify subcommand takes --threads
     for identity, params in (
         ("theorem1", ("--n", "2", "--r", "1", "--d", "1")),
         ("plk", ("--n", "2", "--r", "1", "--d", "1")),
         ("mot", ("--m", "1", "--d", "1")),
     ):
-        for threads in ("0", "-3"):
+        for threads in ("0", "-3", "1", "2"):
             code, out, err = run(
                 capsys, "verify", identity, *params, "--threads", threads
             )
             assert (code, out) == (2, ""), (identity, threads)
-            assert "need threads >= 1" in err
+            assert "unrecognized arguments: --threads" in err
 
 
 def test_verify_mot_rejects_negative_parameters(capsys):
@@ -469,3 +472,357 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     # the public builder still hands out a parser of its own
     assert build_parser() is not build_parser()
     assert built
+
+
+# Every subcommand in every format it offers: exit code, stdout and stderr,
+# one list item per line, with `elapsed_ms` masked.
+GOLDEN = [
+    ("count --n 3 --r 1 --d 2 --format table", 0, ["5"], []),
+    (
+        "count --n 3 --r 1 --d 2 --format json", 0,
+        [
+            '{"n": 3, "r": 1, "d": 2, "method": "brute", "subgraph": false, "count": '
+            '"5", "elapsed_ms": 0}',
+        ],
+        [],
+    ),
+    (
+        "count --n 3 --r 1 --d 2 --format csv", 0,
+        ["n,r,d,method,subgraph,count", "3,1,2,brute,false,5"],
+        [],
+    ),
+    (
+        "count --n 2 --r 2 --d 3 --method tableaux --subgraph --format csv", 0,
+        ["n,r,d,method,subgraph,count", "2,2,3,tableaux,true,2"],
+        [],
+    ),
+    (
+        "verify theorem1 --n 2 --r 2 --d 1 --format table", 0,
+        [
+            "PASS theorem1 {'n': 2, 'r': 2, 'd': 1}: graph_enumeration=1, "
+            "tableau_pairs=1, walks_enumerated=1, walks_dp=1",
+        ],
+        [],
+    ),
+    (
+        "verify theorem1 --n 2 --r 2 --d 1 --format json", 0,
+        [
+            '{"identity": "theorem1", "params": {"d": 1, "n": 2, "r": 2}, "methods": '
+            '{"graph_enumeration": "1", "tableau_pairs": "1", "walks_enumerated": '
+            '"1", "walks_dp": "1"}, "pass": true, "elapsed_ms": 0}',
+        ],
+        [],
+    ),
+    (
+        "verify plk --n 2 --r 2 --d 3 --format table", 0,
+        [
+            "PASS plk {'n': 2, 'r': 2, 'd': 3}: graph_enumeration=2, tableau_pairs=2, "
+            "walks_enumerated=2, walks_dp=2",
+        ],
+        [],
+    ),
+    (
+        "verify plk --n 2 --r 2 --d 3 --format json", 0,
+        [
+            '{"identity": "plk", "params": {"d": 3, "n": 2, "r": 2}, "methods": '
+            '{"graph_enumeration": "2", "tableau_pairs": "2", "walks_enumerated": '
+            '"2", "walks_dp": "2"}, "pass": true, "elapsed_ms": 0}',
+        ],
+        [],
+    ),
+    (
+        "verify mot --m 3 --d 2 --format table", 0,
+        [
+            "PASS mot {'m': 3, 'd': 2}: all_walks_dp=100, representatives_scaled=100, "
+            "lis_scaled=100",
+        ],
+        [],
+    ),
+    (
+        "verify mot --m 3 --d 2 --format json", 0,
+        [
+            '{"identity": "mot", "params": {"d": 2, "m": 3}, "methods": '
+            '{"all_walks_dp": "100", "representatives_scaled": "100", "lis_scaled": '
+            '"100"}, "pass": true, "elapsed_ms": 0}',
+        ],
+        [],
+    ),
+    (
+        "verify gessel --d 2 --M 6 --format table", 0,
+        [
+            "PASS gessel {'d': 2, 'M': 6}: determinant_coefficients=[1,1,1/2,5/36], "
+            "scaled_lis_counts=[1,1,1/2,5/36]",
+        ],
+        [],
+    ),
+    (
+        "verify gessel --d 2 --M 6 --format json", 0,
+        [
+            '{"identity": "gessel", "params": {"M": 6, "d": 2}, "methods": '
+            '{"determinant_coefficients": ["1", "1", "1/2", "5/36"], '
+            '"scaled_lis_counts": ["1", "1", "1/2", "5/36"]}, "pass": true, '
+            '"elapsed_ms": 0}',
+        ],
+        [],
+    ),
+    (
+        "demo rsk --perm 4,2,3,1 --format table", 0,
+        ["P = [[1,3],[2],[4]]", "Q = [[1,3],[2],[4]]", "round_trip = True"],
+        [],
+    ),
+    (
+        "demo rsk --perm 4,2,3,1 --format json", 0,
+        [
+            '{"what": "rsk", "perm": "4,2,3,1", "P": "[[1,3],[2],[4]]", "Q": '
+            '"[[1,3],[2],[4]]", "round_trip": true}',
+        ],
+        [],
+    ),
+    (
+        "demo phi --graph 0,1,1;2,0,0;0,1,1 --format table", 0,
+        ["configuration = 6,4,2,1,5,3", "walk = 111122|112121", "round_trip = True"],
+        [],
+    ),
+    (
+        "demo phi --graph 0,1,1;2,0,0;0,1,1 --format json", 0,
+        [
+            '{"what": "phi", "configuration": "6,4,2,1,5,3", "walk": "111122|112121", '
+            '"largest_matching": 2, "round_trip": true}',
+        ],
+        [],
+    ),
+    (
+        "demo phi --perm 2,1 --format table", 0,
+        ["configuration = 2,1", "walk = 11|11", "round_trip = True"],
+        [],
+    ),
+    (
+        "demo walk --walk 112122|122122 --format table", 0,
+        [
+            "pairs = (u1,v4) (u2,v1) (u3,v6) (u5,v5) (u6,v3)",
+            "unmatched left = u4",
+            "unmatched right = v2",
+            "complete = False",
+            "round_trip = False",
+        ],
+        [],
+    ),
+    (
+        "demo walk --walk 112122|122122 --format json", 0,
+        [
+            '{"what": "walk", "walk": "112122|122122", "pairs": [[1, 4], [2, 1], [3, '
+            '6], [5, 5], [6, 3]], "unmatched_left": [4], "unmatched_right": [2], '
+            '"complete": false, "round_trip": false}',
+        ],
+        [],
+    ),
+    (
+        "demo walk --walk 111122|112121 --format table", 0,
+        [
+            "pairs = (u1,v6) (u2,v4) (u3,v2) (u4,v1) (u5,v5) (u6,v3)",
+            "complete = True",
+            "round_trip = True",
+        ],
+        [],
+    ),
+    (
+        "demo walk --walk 111122|112121 --format json", 0,
+        [
+            '{"what": "walk", "walk": "111122|112121", "pairs": [[1, 6], [2, 4], [3, '
+            '2], [4, 1], [5, 5], [6, 3]], "unmatched_left": [], "unmatched_right": '
+            '[], "complete": true, "round_trip": true}',
+        ],
+        [],
+    ),
+    ("table --n-max 0 --r 1 --format table", 0, [], []),
+    ("table --n-max 0 --r 1 --format json", 0, ['{"r": 1, "rows": []}'], []),
+    ("table --n-max 0 --r 1 --format csv", 0, ["n,r,d,count"], []),
+    (
+        "table --n-max 2 --r 1 --sample 7 --seed 3 --format table", 0,
+        [
+            "n=1 r=1 d=0 count=0",
+            "n=1 r=1 d=1 count=1",
+            "n=1 r=1 d=2 count=1",
+            "n=2 r=1 d=0 count=0",
+            "n=2 r=1 d=1 count=1",
+            "n=2 r=1 d=2 count=2",
+            "empirical n=1 samples=7 seed=3 L=1:7",
+            "empirical n=2 samples=7 seed=3 L=1:4 L=2:3",
+        ],
+        [],
+    ),
+    (
+        "table --n-max 2 --r 1 --sample 7 --seed 3 --format json", 0,
+        [
+            '{"r": 1, "rows": [{"n": 1, "r": 1, "d": 0, "count": "0"}, {"n": 1, "r": '
+            '1, "d": 1, "count": "1"}, {"n": 1, "r": 1, "d": 2, "count": "1"}, {"n": '
+            '2, "r": 1, "d": 0, "count": "0"}, {"n": 2, "r": 1, "d": 1, "count": '
+            '"1"}, {"n": 2, "r": 1, "d": 2, "count": "2"}], "samples": 7, "seed": 3, '
+            '"empirical": {"1": {"1": 7}, "2": {"1": 4, "2": 3}}}',
+        ],
+        [],
+    ),
+    (
+        "table --n-max 2 --r 1 --sample 7 --seed 3 --format csv", 0,
+        [
+            "n,r,d,count",
+            "1,1,0,0",
+            "1,1,1,1",
+            "1,1,2,1",
+            "2,1,0,0",
+            "2,1,1,1",
+            "2,1,2,2",
+            "",
+            "n,r,L,samples",
+            "1,1,1,7",
+            "2,1,1,4",
+            "2,1,2,3",
+        ],
+        [],
+    ),
+    (
+        "audit involution --n 2 --r 1 --d 2 --which second --format table", 0,
+        [
+            "PASS involution-second {'n': 2, 'r': 1, 'd': 2}: domain_size=8, "
+            "signed_total=0, closure_failures=0, sign_flip_failures=0, "
+            "self_inverse_failures=0, fixed_points=0",
+        ],
+        [],
+    ),
+    (
+        "audit involution --n 2 --r 1 --d 2 --which second --format json", 0,
+        [
+            '{"identity": "involution-second", "params": {"d": 2, "n": 2, "r": 1}, '
+            '"methods": {"domain_size": "8", "signed_total": "0", "closure_failures": '
+            '"0", "sign_flip_failures": "0", "self_inverse_failures": "0", '
+            '"fixed_points": "0"}, "pass": true, "elapsed_ms": 0}',
+        ],
+        [],
+    ),
+    (
+        "audit bijections --n 2 --r 2 --d 2 --format table", 0,
+        [
+            "PASS bijections {'n': 2, 'r': 2, 'd': 2}: configurations=3, "
+            "tableau_pairs=3, region_walks=3, profile_walks=3, failures=0",
+        ],
+        [],
+    ),
+    (
+        "audit bijections --n 2 --r 2 --d 2 --format json", 0,
+        [
+            '{"identity": "bijections", "params": {"d": 2, "n": 2, "r": 2}, '
+            '"methods": {"configurations": "3", "tableau_pairs": "3", "region_walks": '
+            '"3", "profile_walks": "3", "failures": "0"}, "pass": true, "elapsed_ms": '
+            "0}",
+        ],
+        [],
+    ),
+    (
+        "sample --n 3 --r 2 --seed 5 --count 2 --format table", 0,
+        ["2,1,4,6,3,5 L=3", "3,6,2,4,1,5 L=3"],
+        [],
+    ),
+    (
+        "sample --n 3 --r 2 --seed 5 --count 2 --format json", 0,
+        [
+            '{"n": 3, "r": 2, "seed": 5, "samples": [{"configuration": "2,1,4,6,3,5", '
+            '"largest_matching": 3}, {"configuration": "3,6,2,4,1,5", '
+            '"largest_matching": 3}]}',
+        ],
+        [],
+    ),
+    (
+        "sample --n 3 --r 2 --seed 5 --count 2 --format csv", 0,
+        [
+            "seed,configuration,largest_matching",
+            '5,"2,1,4,6,3,5",3',
+            '6,"3,6,2,4,1,5",3',
+        ],
+        [],
+    ),
+    ("sample --n 2 --r 1 --seed 1 --count 0 --format table", 0, [], []),
+    (
+        "sample --n 2 --r 1 --seed 1 --count 0 --format json", 0,
+        ['{"n": 2, "r": 1, "seed": 1, "samples": []}'],
+        [],
+    ),
+    (
+        "sample --n 2 --r 1 --seed 1 --count 0 --format csv", 0,
+        ["seed,configuration,largest_matching"],
+        [],
+    ),
+    (
+        "count --help", 0,
+        [
+            "usage: planarcount count [-h] --n N --r R --d D",
+            "                         [--method {brute,tableaux,walks-enum,walks-dp}]",
+            "                         [--subgraph] [--format {table,json,csv}]",
+            "                         [--budget BUDGET]",
+            "",
+            "options:",
+            "  -h, --help            show this help message and exit",
+            "  --n N",
+            "  --r R",
+            "  --d D",
+            "  --method {brute,tableaux,walks-enum,walks-dp}",
+            "  --subgraph            bound the largest planar subgraph instead of the",
+            "                        largest matching",
+            "  --format {table,json,csv}",
+            "                        output format",
+            "  --budget BUDGET       node budget; computations refuse (exit 3) when it",
+            "                        would be exceeded",
+        ],
+        [],
+    ),
+    (
+        "count --n 2 --r 2", 2,
+        [],
+        [
+            "usage: planarcount count [-h] --n N --r R --d D",
+            "                         [--method {brute,tableaux,walks-enum,walks-dp}]",
+            "                         [--subgraph] [--format {table,json,csv}]",
+            "                         [--budget BUDGET]",
+            "planarcount count: error: the following arguments are required: --d",
+        ],
+    ),
+    ("count --n 2 --r 0 --d 1", 2, [], ["error: need n >= 0, r >= 1, d >= 0"]),
+    (
+        "count --n 8 --r 1 --d 8 --method walks-enum --budget 10", 3,
+        [],
+        ["refused: walks-enum count: estimated 823680 nodes exceeds budget 10"],
+    ),
+    (
+        "verify theorem1 --n 4 --r 2 --d 8 --budget 5", 3,
+        [],
+        ["refused: matching identity: estimated 3786880 nodes exceeds budget 5"],
+    ),
+    ("demo rsk", 2, [], ["error: demo rsk needs --perm"]),
+    (
+        "demo rsk --perm 2,1 --graph 1", 2,
+        [],
+        ["error: demo rsk reads --perm alone, not --graph and --perm"],
+    ),
+    (
+        "demo phi --graph 2 --perm 1,2", 2,
+        [],
+        ["error: demo phi reads --graph or --perm alone, not --graph and --perm"],
+    ),
+]
+
+
+ELAPSED = re.compile(r'"elapsed_ms": [-0-9.e]+')
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", GOLDEN, ids=[case[0] for case in GOLDEN]
+)
+def test_golden_output(capsys, monkeypatch, argv, code, out, err):
+    # a fixed width, so argparse wraps usage and help the same on any terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, got_out, got_err = run(capsys, *argv.split())
+    got_out = ELAPSED.sub('"elapsed_ms": 0', got_out)
+    assert (got_code, got_out, got_err) == (code, _text(out), _text(err))
+
+
+def _text(lines):
+    return "".join(f"{line}\n" for line in lines)
